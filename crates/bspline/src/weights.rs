@@ -17,6 +17,7 @@
 
 use crate::basis::{BsplineBasis, MAX_ORDER};
 use gnet_simd::lanes::F32x16;
+use gnet_simd::AlignedVec;
 
 /// Compact per-gene weight matrix: `k` weights + first-bin index per sample.
 #[derive(Clone, Debug, PartialEq)]
@@ -219,7 +220,8 @@ impl SparseWeights {
 }
 
 /// Dense, zero-padded per-gene weight matrix (`m` rows × `b` columns, each
-/// row padded to a multiple of the lane width).
+/// row padded to a multiple of the lane width). The buffer starts on a
+/// 64-byte boundary, so every 16-float row fills exactly one cache line.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DenseWeights {
     samples: usize,
@@ -227,7 +229,7 @@ pub struct DenseWeights {
     /// Row stride ≥ bins, a multiple of `F32x16::LANES`.
     stride: usize,
     /// `samples × stride`, row-major; padding columns are zero.
-    data: Vec<f32>,
+    data: AlignedVec,
 }
 
 impl DenseWeights {
@@ -239,7 +241,7 @@ impl DenseWeights {
             samples,
             bins,
             stride,
-            data: vec![0.0; samples * stride],
+            data: AlignedVec::zeroed(samples * stride),
         }
     }
 
@@ -310,8 +312,7 @@ impl DenseWeights {
         assert_eq!(perm.len(), self.samples, "permutation length mismatch");
         let mut out = Self::zeroed(self.samples, self.bins);
         for (dst, &src) in perm.iter().enumerate() {
-            let src_row = self.row(src as usize).to_vec();
-            out.row_mut(dst).copy_from_slice(&src_row);
+            out.row_mut(dst).copy_from_slice(self.row(src as usize)); // cast-ok: u32 to usize widens losslessly
         }
         out
     }
@@ -338,9 +339,9 @@ impl DenseWeights {
         }
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes (alignment slack excluded).
     pub fn heap_bytes(&self) -> usize {
-        self.data.len() * core::mem::size_of::<f32>()
+        self.data.heap_bytes()
     }
 }
 
@@ -505,6 +506,31 @@ mod tests {
         let batch = sparse_weights_for_genes(&flat, 2, 20, &basis);
         assert_eq!(batch[0], SparseWeights::from_normalized(&g0, &basis));
         assert_eq!(batch[1], SparseWeights::from_normalized(&g1, &basis));
+    }
+
+    #[test]
+    fn dense_rows_start_on_cache_lines() {
+        let aligned = |d: &DenseWeights| (d.as_slice().as_ptr() as usize).is_multiple_of(64);
+        let basis = BsplineBasis::tinge_default();
+        let w = SparseWeights::from_normalized(&demo_values(), &basis);
+        let dense = w.to_dense();
+        let m = u32::try_from(w.samples()).expect("test sample count fits u32");
+        let perm: Vec<u32> = (0..m).rev().collect();
+        assert!(aligned(&DenseWeights::zeroed(37, 10)));
+        assert!(aligned(&dense));
+        assert!(aligned(&dense.permuted(&perm)));
+        assert!(aligned(&dense.clone()));
+        // The buffer holds whole rows, so equality, Debug and the heap
+        // count see exactly samples × stride floats.
+        assert_eq!(dense.as_slice().len(), 37 * dense.stride());
+        assert_eq!(dense.clone(), dense);
+        assert_eq!(
+            format!("{:?}", DenseWeights::zeroed(1, 1)),
+            format!(
+                "DenseWeights {{ samples: 1, bins: 1, stride: 16, data: {:?} }}",
+                [0.0f32; 16]
+            )
+        );
     }
 
     #[test]

@@ -37,11 +37,12 @@ use gnet_core::checkpoint::infer_network_resumable;
 use gnet_core::{infer_network, InferenceConfig, InferenceResult};
 use gnet_fault::{FaultInjector, FaultPlan};
 use gnet_graph::GeneNetwork;
-use gnet_mi::gene::{mi_scalar, mi_vector, mi_with_nulls, prepare_matrix, MiKernel, MiScratch};
-use gnet_mi::PreparedGene;
+use gnet_mi::gene::{mi_vector, mi_with_nulls, prepare_matrix, MiKernel, MiScratch};
+use gnet_mi::{PairMi, PreparedGene};
 use gnet_parallel::{compute_pairwise, pair_index, SchedulerPolicy};
 use gnet_permute::PermutationSet;
 use gnet_simd::dispatch::{with_forced, Backend};
+use gnet_simd::RowPerms;
 use gnet_trace::Recorder;
 
 /// What one oracle found on one dataset.
@@ -72,37 +73,59 @@ fn basis() -> BsplineBasis {
     BsplineBasis::tinge_default()
 }
 
-/// Scalar-vs-vector differential with an injectable vector evaluator —
-/// the self-check swaps in a [`gnet_mi::mutation::MutatedVectorKernel`]
-/// here, which is how the harness proves it would catch a broken kernel.
+/// Null permutations per pair in the kernel differential: the vector
+/// kernel's null loop then runs one full batch of `gnet_simd::BATCH`
+/// evaluations (the observed pass and three nulls) plus a one-grid tail.
+const KERNEL_NULLS: usize = 4;
+
+/// Scalar-vs-vector differential with an injectable vector evaluator,
+/// over each pair's observed value and its [`KERNEL_NULLS`] nulls — the
+/// self-check swaps in a [`gnet_mi::mutation::MutatedVectorKernel`] here,
+/// which is how the harness proves it would catch a broken kernel.
 pub(crate) fn kernel_oracle_with<F>(
     spec: &DatasetSpec,
     tol: &TolerancePolicy,
-    vector_mi: &mut F,
+    vector: &mut F,
 ) -> OracleOutcome
 where
-    F: FnMut(&PreparedGene, &PreparedGene, &DenseWeights) -> f64,
+    F: FnMut(&PreparedGene, &PreparedGene, &DenseWeights, &RowPerms) -> PairMi,
 {
     let matrix = spec.build();
     let prepared = prepare_matrix(&matrix, &basis());
+    let perms = PermutationSet::generate(matrix.samples(), KERNEL_NULLS, spec.seed ^ 0x7065_726D); // "perm"
     let mut scratch = MiScratch::for_basis(&basis());
     let mut checks = 0;
     for j in 1..prepared.len() {
         let yd = prepared[j].to_dense();
         for i in 0..j {
-            let scalar = mi_scalar(&prepared[i], &prepared[j], &mut scratch);
-            let vector = vector_mi(&prepared[i], &prepared[j], &yd);
-            checks += 1;
-            let delta = (scalar - vector).abs();
-            if delta > tol.kernel_abs {
-                return OracleOutcome::fail(
-                    checks,
-                    format!(
-                        "pair ({i},{j}): scalar MI {scalar:.9} vs vector MI {vector:.9} \
-                         — |Δ| {delta:.3e} exceeds {:.1e} nats",
-                        tol.kernel_abs
-                    ),
-                );
+            let s = mi_with_nulls(
+                MiKernel::ScalarSparse,
+                &prepared[i],
+                &prepared[j],
+                None,
+                perms.as_vecs(),
+                &mut scratch,
+            );
+            let v = vector(&prepared[i], &prepared[j], &yd, perms.as_vecs());
+            let scalar = std::iter::once(s.observed).chain(s.null);
+            let vector = std::iter::once(v.observed).chain(v.null);
+            for (q, (a, b)) in scalar.zip(vector).enumerate() {
+                checks += 1;
+                let delta = (a - b).abs();
+                if delta > tol.kernel_abs {
+                    let which = match q {
+                        0 => "observed".to_owned(),
+                        _ => format!("null {}", q - 1),
+                    };
+                    return OracleOutcome::fail(
+                        checks,
+                        format!(
+                            "pair ({i},{j}) {which}: scalar MI {a:.9} vs vector MI {b:.9} \
+                             — |Δ| {delta:.3e} exceeds {:.1e} nats",
+                            tol.kernel_abs
+                        ),
+                    );
+                }
             }
         }
     }
@@ -128,58 +151,14 @@ pub(crate) fn kernel_oracle(spec: &DatasetSpec, tol: &TolerancePolicy) -> Oracle
     OracleOutcome::clean(checks)
 }
 
-/// One backend's scalar-vs-vector differential, including the permuted
-/// (null-evaluation) paths the pipeline exercises per pair. Runs under
-/// whatever dispatch backend is active when called.
+/// One backend's scalar-vs-vector differential through the batched null
+/// loop the pipeline runs per pair. Runs under whatever dispatch backend
+/// is active when called.
 fn kernel_oracle_one_backend(spec: &DatasetSpec, tol: &TolerancePolicy) -> OracleOutcome {
     let mut scratch = MiScratch::for_basis(&basis());
-    let observed = kernel_oracle_with(spec, tol, &mut |x, y, yd| mi_vector(x, y, yd, &mut scratch));
-    if observed.violation.is_some() {
-        return observed;
-    }
-
-    // Permuted path: both kernels must agree null-by-null.
-    let matrix = spec.build();
-    let prepared = prepare_matrix(&matrix, &basis());
-    let perms = PermutationSet::generate(matrix.samples(), 2, spec.seed ^ 0x7065_726D); // "perm"
-    let mut scratch = MiScratch::for_basis(&basis());
-    let mut checks = observed.checks;
-    for j in 1..prepared.len() {
-        let yd = prepared[j].to_dense();
-        for i in 0..j {
-            let s = mi_with_nulls(
-                MiKernel::ScalarSparse,
-                &prepared[i],
-                &prepared[j],
-                None,
-                perms.as_vecs(),
-                &mut scratch,
-            );
-            let v = mi_with_nulls(
-                MiKernel::VectorDense,
-                &prepared[i],
-                &prepared[j],
-                Some(&yd),
-                perms.as_vecs(),
-                &mut scratch,
-            );
-            for (q, (a, b)) in s.null.iter().zip(&v.null).enumerate() {
-                checks += 1;
-                let delta = (a - b).abs();
-                if delta > tol.kernel_abs {
-                    return OracleOutcome::fail(
-                        checks,
-                        format!(
-                            "pair ({i},{j}) null {q}: scalar {a:.9} vs vector {b:.9} \
-                             — |Δ| {delta:.3e} exceeds {:.1e} nats",
-                            tol.kernel_abs
-                        ),
-                    );
-                }
-            }
-        }
-    }
-    OracleOutcome::clean(checks)
+    kernel_oracle_with(spec, tol, &mut |x, y, yd, perms| {
+        mi_with_nulls(MiKernel::VectorDense, x, y, Some(yd), perms, &mut scratch)
+    })
 }
 
 /// Serial reference for the packed pairwise MI array: a plain nested loop,

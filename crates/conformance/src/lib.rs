@@ -18,7 +18,7 @@
 //!
 //! Failures shrink to a minimal dataset ([`shrink`]) and the report
 //! carries the replay seed that rebuilds it. [`run_self_check`] closes
-//! the loop: it injects the three kernel mutations from
+//! the loop: it injects the four kernel mutations from
 //! [`gnet_mi::mutation`] and the three incremental-update mutations from
 //! [`gnet_core::UpdateMutation`], asserting the matching oracle catches
 //! each one — a harness that cannot detect a sabotaged implementation is
@@ -213,7 +213,9 @@ fn mutated_kernel_oracle(
     mutation: KernelMutation,
 ) -> OracleOutcome {
     let mut kernel = MutatedVectorKernel::new(mutation);
-    kernel_oracle_with(spec, tol, &mut |x, y, yd| kernel.mi(x, y, yd))
+    kernel_oracle_with(spec, tol, &mut |x, y, yd, perms| {
+        kernel.mi_with_nulls(x, y, yd, perms)
+    })
 }
 
 /// Hunt one injected mutation across the corpus: find the first spec the
@@ -353,10 +355,10 @@ mod tests {
         };
         let outcome = differential::kernel_oracle(&spec, &TolerancePolicy::default());
         assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        // Per backend: C(5,2) = 10 observed checks plus 10 pairs × 2
-        // permuted nulls = 30; the oracle must repeat that for every
-        // backend this host supports (at minimum the emulated one).
+        // Per backend: C(5,2) = 10 pairs × (1 observed + 4 nulls) = 50;
+        // the oracle must repeat that for every backend this host
+        // supports (at minimum the emulated one).
         let backends = gnet_simd::dispatch::Backend::supported().len();
-        assert_eq!(outcome.checks, 30 * backends);
+        assert_eq!(outcome.checks, 50 * backends);
     }
 }

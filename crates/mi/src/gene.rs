@@ -10,10 +10,11 @@
 
 use crate::entropy::entropy_nats;
 use crate::sparse_kernel;
-use crate::vector_kernel::{self, VectorGrid};
+use crate::vector_kernel::{self, PairKernel, VectorGrid};
 use gnet_bspline::{BsplineBasis, DenseWeights, SparseWeights};
 use gnet_expr::normalize::rank_transform_profile;
 use gnet_expr::ExpressionMatrix;
+use gnet_simd::{RowPerms, RowSource, BATCH};
 
 /// Which B-spline kernel the pipeline dispatches to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -80,7 +81,8 @@ pub fn prepare_matrix(matrix: &ExpressionMatrix, basis: &BsplineBasis) -> Vec<Pr
         .collect()
 }
 
-/// Reusable per-thread scratch covering both kernels.
+/// Reusable per-thread scratch covering both kernels. The vector kernel's
+/// scratch holds [`BATCH`] grids for the batched null loop.
 #[derive(Clone, Debug)]
 pub struct MiScratch {
     scalar_grid: Vec<f32>,
@@ -105,7 +107,7 @@ impl MiScratch {
             None => true,
         };
         if needs_new {
-            self.vector_grid = Some(VectorGrid::for_dense(dense));
+            self.vector_grid = Some(VectorGrid::batch_for_dense(dense, BATCH));
         }
         self.vector_grid.as_mut().expect("just ensured")
     }
@@ -157,35 +159,29 @@ impl PairMi {
 /// Evaluate a pair and its `q` permutation nulls in one batched call — the
 /// unit of work the tile executor schedules. Dispatches on `kernel`; the
 /// dense expansion of `y` is only touched (and required to be `Some`) for
-/// the vector kernel.
+/// the vector kernel, which runs the observed pass and the nulls
+/// [`BATCH`] at a time through one pass over `x`'s samples each.
 ///
 /// # Panics
 /// Panics if `kernel` is [`MiKernel::VectorDense`] and `y_dense` is `None`,
-/// or if any permutation has the wrong length.
+/// or if the permutations act on a different sample count.
 pub fn mi_with_nulls(
     kernel: MiKernel,
     x: &PreparedGene,
     y: &PreparedGene,
     y_dense: Option<&DenseWeights>,
-    perms: &[Vec<u32>],
+    perms: &RowPerms,
     scratch: &mut MiScratch,
 ) -> PairMi {
+    let (hx, hy) = (x.h_marginal, y.h_marginal);
     match kernel {
         MiKernel::ScalarSparse => {
             let grid = &mut scratch.scalar_grid;
-            let observed =
-                sparse_kernel::mi(&x.sparse, &y.sparse, x.h_marginal, y.h_marginal, grid);
+            let observed = sparse_kernel::mi(&x.sparse, &y.sparse, hx, hy, grid);
             let null = perms
                 .iter()
                 .map(|p| {
-                    sparse_kernel::mi_permuted(
-                        &x.sparse,
-                        &y.sparse,
-                        p,
-                        x.h_marginal,
-                        y.h_marginal,
-                        grid,
-                    )
+                    sparse_kernel::mi_permuted(&x.sparse, &y.sparse, p.as_slice(), hx, hy, grid)
                 })
                 .collect();
             PairMi { observed, null }
@@ -193,13 +189,8 @@ pub fn mi_with_nulls(
         MiKernel::VectorDense => {
             let yd = y_dense.expect("vector kernel requires the dense expansion of y");
             let grid = scratch.vector_grid_for(yd);
-            let observed = vector_kernel::mi(&x.sparse, yd, x.h_marginal, y.h_marginal, grid);
-            let null = perms
-                .iter()
-                .map(|p| {
-                    vector_kernel::mi_permuted(&x.sparse, yd, p, x.h_marginal, y.h_marginal, grid)
-                })
-                .collect();
+            let (observed, null) =
+                PairKernel::new(&x.sparse, yd).mi_with_nulls(perms, hx, hy, grid);
             PairMi { observed, null }
         }
     }
@@ -222,7 +213,8 @@ pub struct EarlyExitMi {
 /// null stops at the **first** null that reaches the observed MI (the pair
 /// can no longer become an edge), and is skipped entirely when the
 /// observed MI does not clear `threshold` (a pair below the global
-/// threshold is rejected regardless of its nulls).
+/// threshold is rejected regardless of its nulls). Nulls run one at a
+/// time, so no evaluation past the exit is spent.
 ///
 /// This is the adaptive optimization DESIGN.md §7 lists: it changes *no
 /// decision* relative to the exact test with the same threshold, only the
@@ -235,25 +227,33 @@ pub fn mi_with_nulls_early_exit(
     x: &PreparedGene,
     y: &PreparedGene,
     y_dense: Option<&DenseWeights>,
-    perms: &[Vec<u32>],
+    perms: &RowPerms,
     threshold: f64,
     scratch: &mut MiScratch,
 ) -> EarlyExitMi {
-    // Observed MI first.
-    let observed = match kernel {
-        MiKernel::ScalarSparse => sparse_kernel::mi(
-            &x.sparse,
-            &y.sparse,
-            x.h_marginal,
-            y.h_marginal,
-            &mut scratch.scalar_grid,
-        ),
+    let (hx, hy) = (x.h_marginal, y.h_marginal);
+    let vector = match kernel {
+        MiKernel::ScalarSparse => None,
         MiKernel::VectorDense => {
             let yd = y_dense.expect("vector kernel requires the dense expansion of y");
-            let grid = scratch.vector_grid_for(yd);
-            vector_kernel::mi(&x.sparse, yd, x.h_marginal, y.h_marginal, grid)
+            Some((PairKernel::new(&x.sparse, yd), yd))
         }
     };
+    let mut eval = |source: RowSource<'_>| match (&vector, source) {
+        (Some((pair, yd)), _) => pair.mi(source, hx, hy, scratch.vector_grid_for(yd)),
+        (None, RowSource::Identity) => {
+            sparse_kernel::mi(&x.sparse, &y.sparse, hx, hy, &mut scratch.scalar_grid)
+        }
+        (None, RowSource::Permuted(p)) => sparse_kernel::mi_permuted(
+            &x.sparse,
+            &y.sparse,
+            p.as_slice(),
+            hx,
+            hy,
+            &mut scratch.scalar_grid,
+        ),
+    };
+    let observed = eval(RowSource::Identity);
     let mut joints = 1u32;
     if observed <= threshold {
         return EarlyExitMi {
@@ -262,22 +262,8 @@ pub fn mi_with_nulls_early_exit(
             joints_evaluated: joints,
         };
     }
-    for p in perms {
-        let null = match kernel {
-            MiKernel::ScalarSparse => sparse_kernel::mi_permuted(
-                &x.sparse,
-                &y.sparse,
-                p,
-                x.h_marginal,
-                y.h_marginal,
-                &mut scratch.scalar_grid,
-            ),
-            MiKernel::VectorDense => {
-                let yd = y_dense.expect("vector kernel requires the dense expansion of y");
-                let grid = scratch.vector_grid_for(yd);
-                vector_kernel::mi_permuted(&x.sparse, yd, p, x.h_marginal, y.h_marginal, grid)
-            }
-        };
+    for p in perms.iter() {
+        let null = eval(RowSource::Permuted(p));
         joints += 1;
         if null >= observed {
             return EarlyExitMi {
@@ -301,6 +287,10 @@ mod tests {
 
     fn basis() -> BsplineBasis {
         BsplineBasis::tinge_default()
+    }
+
+    fn row_perms(m: u32, perms: Vec<Vec<u32>>) -> RowPerms {
+        RowPerms::new(m as usize, perms).expect("test permutations are in range")
     }
 
     fn prepared_pair(seed: u64, m: usize) -> (PreparedGene, PreparedGene) {
@@ -337,9 +327,12 @@ mod tests {
     fn mi_with_nulls_batches_consistently() {
         let (x, y) = prepared_pair(8, 101);
         let m = 101u32;
-        let perms: Vec<Vec<u32>> = (1..4)
-            .map(|mult| (0..m).map(|i| (i * (2 * mult + 1)) % m).collect())
-            .collect();
+        let perms = row_perms(
+            m,
+            (1..4)
+                .map(|mult| (0..m).map(|i| (i * (2 * mult + 1)) % m).collect())
+                .collect(),
+        );
         let mut scratch = MiScratch::for_basis(&basis());
 
         let yd = y.to_dense();
@@ -361,6 +354,58 @@ mod tests {
     }
 
     #[test]
+    fn batched_nulls_are_bitwise_the_one_at_a_time_loop() {
+        // Every tail length of the BATCH-wide null loop (q + 1 ≡ 0..3 mod
+        // 4), q = 0, and a layout wider than one register row (20 bins,
+        // the general row loop).
+        for (bins, order) in [(10, 3), (16, 4), (20, 2)] {
+            let b = BsplineBasis::new(order, bins);
+            let matrix = synth::independent_gaussian(2, 97, bins as u64);
+            let x = prepare_gene(matrix.gene(0), &b);
+            let y = prepare_gene(matrix.gene(1), &b);
+            let yd = y.to_dense();
+            let mut scratch = MiScratch::for_basis(&b);
+            let mut one = VectorGrid::for_dense(&yd);
+            for q in 0..=9 {
+                let perms = seeded_perms(97, q);
+                let batched = mi_with_nulls(
+                    MiKernel::VectorDense,
+                    &x,
+                    &y,
+                    Some(&yd),
+                    &perms,
+                    &mut scratch,
+                );
+                let (hx, hy) = (x.h_marginal, y.h_marginal);
+                let observed = vector_kernel::mi(&x.sparse, &yd, hx, hy, &mut one);
+                assert_eq!(batched.observed.to_bits(), observed.to_bits(), "q={q}");
+                assert_eq!(batched.null.len(), q);
+                for (i, p) in perms.iter().enumerate() {
+                    let null =
+                        vector_kernel::mi_permuted(&x.sparse, &yd, p.as_slice(), hx, hy, &mut one);
+                    assert_eq!(batched.null[i].to_bits(), null.to_bits(), "q={q} null {i}");
+                }
+            }
+        }
+    }
+
+    /// `q` seeded Fisher–Yates bijections of `0..m`.
+    fn seeded_perms(m: u32, q: usize) -> RowPerms {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(q as u64);
+        let perms = (0..q)
+            .map(|_| {
+                let mut p: Vec<u32> = (0..m).collect();
+                for i in (1..p.len()).rev() {
+                    p.swap(i, rng.gen_range(0..=i));
+                }
+                p
+            })
+            .collect();
+        row_perms(m, perms)
+    }
+
+    #[test]
     fn exceed_count_counts_ties_conservatively() {
         let pair = PairMi {
             observed: 0.5,
@@ -375,7 +420,8 @@ mod tests {
     fn vector_kernel_without_dense_panics() {
         let (x, y) = prepared_pair(4, 32);
         let mut scratch = MiScratch::for_basis(&basis());
-        let _ = mi_with_nulls(MiKernel::VectorDense, &x, &y, None, &[], &mut scratch);
+        let perms = RowPerms::default();
+        let _ = mi_with_nulls(MiKernel::VectorDense, &x, &y, None, &perms, &mut scratch);
     }
 
     #[test]
@@ -386,9 +432,12 @@ mod tests {
         let x = prepare_gene(matrix.gene(truth[0].0 as usize), &b);
         let y = prepare_gene(matrix.gene(truth[0].1 as usize), &b);
         let m = 600u32;
-        let perms: Vec<Vec<u32>> = (0..20)
-            .map(|r| (0..m).map(|i| (i * 7 + r * 13 + 1) % m).collect())
-            .collect();
+        let perms = row_perms(
+            m,
+            (0..20)
+                .map(|r| (0..m).map(|i| (i * 7 + r * 13 + 1) % m).collect())
+                .collect(),
+        );
         let mut scratch = MiScratch::for_basis(&b);
         let yd = y.to_dense();
         let res = mi_with_nulls(
@@ -415,9 +464,12 @@ mod tests {
             .map(|g| prepare_gene(matrix.gene(g), &b))
             .collect();
         let m = matrix.samples() as u32;
-        let perms: Vec<Vec<u32>> = (0..12)
-            .map(|r| (0..m).map(|i| (i * 7 + r * 11 + 3) % m).collect())
-            .collect();
+        let perms = row_perms(
+            m,
+            (0..12)
+                .map(|r| (0..m).map(|i| (i * 7 + r * 11 + 3) % m).collect())
+                .collect(),
+        );
         let mut scratch = MiScratch::for_basis(&b);
         let threshold = 0.05;
 
@@ -464,7 +516,7 @@ mod tests {
     fn early_exit_skips_nulls_below_threshold() {
         let (x, y) = prepared_pair(40, 64);
         let mut scratch = MiScratch::for_basis(&basis());
-        let perms: Vec<Vec<u32>> = vec![(0..64u32).rev().collect(); 10];
+        let perms = row_perms(64, vec![(0..64u32).rev().collect(); 10]);
         let yd = y.to_dense();
         let res = mi_with_nulls_early_exit(
             MiKernel::VectorDense,

@@ -13,7 +13,9 @@
 //!   contiguous row-wide FMAs (`grid[bx+i] += wx_i · y_row`). More flops
 //!   (`m·k·b_padded`) but a branch-free unit-stride FMA stream — exactly
 //!   the restructuring that lets the Phi's 512-bit unit (and any modern
-//!   SIMD unit, via auto-vectorization of `gnet-simd` lanes) run at rate.
+//!   SIMD unit, via `gnet-simd`'s AVX-512 / AVX2 intrinsics) run at rate.
+//!   The permutation nulls run in batches: one pass over `x`'s samples
+//!   feeds several joint grids ([`mi_with_nulls`]).
 //! * [`histogram`] — classic equal-width-bin plug-in estimator, kept as the
 //!   estimator-quality baseline.
 //!

@@ -17,29 +17,42 @@
 //!
 //! The permuted variant reads `y`'s dense rows through a permutation index
 //! — rows stay contiguous, so the vector body is unchanged; only the row
-//! pointer hops.
+//! pointer hops. The permutation-null loop batches: one pass over `x`'s
+//! samples feeds up to [`gnet_simd::BATCH`] grids (the observed pairing
+//! and the nulls), so `x`'s first bins and weights load once per batch.
+//! Each grid keeps the one-grid summation order, so every value is
+//! bit-identical to evaluating it alone.
 
 use crate::entropy::entropy_from_counts;
 use gnet_bspline::{DenseWeights, SparseWeights};
-use gnet_simd::slice_ops::{axpy, joint_accumulate_w16};
-use gnet_simd::F32x16;
+use gnet_simd::slice_ops::{axpy, joint_accumulate_w16_batch};
+use gnet_simd::{AlignedVec, BinWindows, F32x16, PermRow, RowPerms, RowSource};
 
-/// Reusable joint-grid scratch for the vector kernel: `bins` rows padded to
-/// the dense layout's stride.
+/// Reusable joint-grid scratch for the vector kernel: `count` grids of
+/// `bins` rows padded to the dense layout's stride, one after another on
+/// 64-byte-aligned rows.
 #[derive(Clone, Debug)]
 pub struct VectorGrid {
     bins: usize,
     stride: usize,
-    data: Vec<f32>,
+    count: usize,
+    data: AlignedVec,
 }
 
 impl VectorGrid {
-    /// Allocate a grid compatible with `dense` (same stride).
+    /// Allocate one grid compatible with `dense` (same stride).
     pub fn for_dense(dense: &DenseWeights) -> Self {
+        Self::batch_for_dense(dense, 1)
+    }
+
+    /// Allocate `count` grids compatible with `dense`: the scratch of a
+    /// batched null loop, which evaluates up to `count` pairings per pass.
+    pub(crate) fn batch_for_dense(dense: &DenseWeights, count: usize) -> Self {
         Self {
             bins: dense.bins(),
             stride: dense.stride(),
-            data: vec![0.0; dense.bins() * dense.stride()],
+            count,
+            data: AlignedVec::zeroed(count * dense.bins() * dense.stride()),
         }
     }
 
@@ -53,112 +66,164 @@ impl VectorGrid {
         self.stride
     }
 
-    /// The backing slice, rows × stride. Padding columns stay zero, so
+    /// The first grid, rows × stride. Padding columns stay zero, so
     /// entropy over the whole slice equals entropy over the live cells.
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        self.grid(0)
     }
 
-    fn reset(&mut self, dense: &DenseWeights) {
+    /// Grid `b`, rows × stride.
+    fn grid(&self, b: usize) -> &[f32] {
+        let len = self.bins * self.stride;
+        &self.data[b * len..(b + 1) * len]
+    }
+
+    /// Zero the first `count` grids and return them, after checking they
+    /// match `dense`'s layout.
+    fn reset(&mut self, dense: &DenseWeights, count: usize) -> &mut [f32] {
         assert_eq!(self.stride, dense.stride(), "grid/dense stride mismatch");
         assert_eq!(self.bins, dense.bins(), "grid/dense bin mismatch");
-        self.data.fill(0.0);
-    }
-
-    #[inline(always)]
-    fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.stride..(r + 1) * self.stride]
+        assert!(
+            count <= self.count,
+            "{count} pairings for {} grids",
+            self.count
+        );
+        let grids = &mut self.data[..count * self.bins * self.stride];
+        grids.fill(0.0);
+        grids
     }
 }
 
-/// Accumulate the unnormalized joint grid of sparse-`x` against dense-`y`.
+/// One gene pair's vector-kernel inputs, checked once per pair: the
+/// genes share sample and bin counts, and — on the one-register-row
+/// layout (`stride == 16`, i.e. `b ≤ 16`, which covers the TINGe default
+/// of 10 bins) — `x`'s bin windows are proven to fit the grid. Every
+/// evaluation of the pair then goes to the dispatched
+/// [`joint_accumulate_w16_batch`] kernel with only O(1) shape checks:
+/// `k` contiguous row FMAs per sample and grid — one 512-bit `vfmadd` per
+/// row on AVX-512, two 256-bit ones on AVX2, the portable `F32x16` loop on
+/// the emulated backend. Wider layouts fall back to the general row loop.
+pub(crate) struct PairKernel<'a> {
+    x: &'a SparseWeights,
+    y: &'a DenseWeights,
+    windows: Option<BinWindows<'a>>,
+}
+
+impl<'a> PairKernel<'a> {
+    /// Check the pair (O(m) on the one-register-row layout).
+    ///
+    /// # Panics
+    /// Panics if the genes disagree on sample or bin count, or have no
+    /// samples.
+    pub(crate) fn new(x: &'a SparseWeights, y: &'a DenseWeights) -> Self {
+        check_pair(x, y);
+        let one_row = y.stride() == F32x16::LANES && x.order() <= 8;
+        let windows = one_row
+            .then(|| BinWindows::new(x.first_bins_flat(), x.weights_flat(), x.order(), y.bins()));
+        Self { x, y, windows }
+    }
+
+    /// Accumulate one unnormalized joint grid per source into the first
+    /// `sources.len()` grids of `grid`.
+    fn joint(&self, sources: &[RowSource<'_>], grid: &mut VectorGrid) {
+        let stride = grid.stride;
+        let grids = grid.reset(self.y, sources.len());
+        if let Some(windows) = &self.windows {
+            joint_accumulate_w16_batch(grids, windows, self.y.as_slice(), sources);
+            return;
+        }
+        let len = grids.len() / sources.len();
+        for (g, source) in grids.chunks_exact_mut(len).zip(sources) {
+            for s in 0..self.x.samples() {
+                let y_row = match *source {
+                    RowSource::Identity => self.y.row(s),
+                    RowSource::Permuted(p) => self.y.row(p.as_slice()[s] as usize), // cast-ok: u32 to usize widens losslessly
+                };
+                let fx = self.x.first_bin(s);
+                for (i, &wxi) in self.x.sample_weights(s).iter().enumerate() {
+                    // Row-wide FMA: one padded row of y scaled by one x weight.
+                    axpy(wxi, y_row, &mut g[(fx + i) * stride..(fx + i + 1) * stride]);
+                }
+            }
+        }
+    }
+
+    /// MI (nats) from one accumulated grid.
+    fn mi_of(&self, grid: &[f32], hx: f64, hy: f64) -> f64 {
+        // cast-ok: sample counts are far below f64's 2^53 exact-integer range
+        hx + hy - entropy_from_counts(grid, self.x.samples() as f64)
+    }
+
+    /// MI (nats) of the pair under `source`, accumulated in grid 0.
+    pub(crate) fn mi(&self, source: RowSource<'_>, hx: f64, hy: f64, grid: &mut VectorGrid) -> f64 {
+        self.joint(&[source], grid);
+        self.mi_of(grid.grid(0), hx, hy)
+    }
+
+    /// The observed MI and the MI under each permutation, in order. One
+    /// pass over `x`'s samples feeds as many pairings as `grid` holds
+    /// grids: the observed
+    /// pass plus the first nulls, then the rest in full batches and one
+    /// shorter tail. Each value is bit-identical to a one-at-a-time
+    /// [`PairKernel::mi`].
+    ///
+    /// # Panics
+    /// Panics if the permutations act on a different sample count.
+    pub(crate) fn mi_with_nulls(
+        &self,
+        perms: &RowPerms,
+        hx: f64,
+        hy: f64,
+        grid: &mut VectorGrid,
+    ) -> (f64, Vec<f64>) {
+        assert_eq!(
+            perms.rows(),
+            self.x.samples(),
+            "permutation length mismatch"
+        );
+        let sources: Vec<RowSource<'_>> = core::iter::once(RowSource::Identity)
+            .chain(perms.iter().map(RowSource::Permuted))
+            .collect();
+        let mut values = Vec::with_capacity(sources.len());
+        for batch in sources.chunks(grid.count) {
+            self.joint(batch, grid);
+            values.extend((0..batch.len()).map(|b| self.mi_of(grid.grid(b), hx, hy)));
+        }
+        let null = values.split_off(1);
+        (values[0], null)
+    }
+}
+
+/// Accumulate the unnormalized joint grid of sparse-`x` against dense-`y`
+/// into the first grid of `grid`.
 ///
 /// # Panics
 /// Panics on shape disagreements between `x`, `y`, and `grid`.
 pub fn joint_counts(x: &SparseWeights, y: &DenseWeights, grid: &mut VectorGrid) {
-    check_pair(x, y);
-    grid.reset(y);
-    if joint_counts_w16(x, y, None, grid) {
-        return;
-    }
-    for s in 0..x.samples() {
-        let fx = x.first_bin(s);
-        let wx = x.sample_weights(s);
-        let y_row = y.row(s);
-        for (i, &wxi) in wx.iter().enumerate() {
-            // Row-wide FMA: one padded row of y scaled by one x weight.
-            axpy(wxi, y_row, grid.row_mut(fx + i));
-        }
-    }
-}
-
-/// Fast path for the ubiquitous one-register-row layout (`stride == 16`,
-/// i.e. `b ≤ 16`, which covers the TINGe default of 10 bins): the whole
-/// joint-grid update is handed to the dispatched
-/// [`joint_accumulate_w16`] slice kernel, where each sample is `k`
-/// contiguous row FMAs — one 512-bit `vfmadd` per row on AVX-512, two
-/// 256-bit ones on AVX2, and the portable `F32x16` loop on the emulated
-/// backend. Returns `false` (doing nothing) when the layout does not fit,
-/// letting the caller fall back to the general row loop.
-fn joint_counts_w16(
-    x: &SparseWeights,
-    y: &DenseWeights,
-    perm: Option<&[u32]>,
-    grid: &mut VectorGrid,
-) -> bool {
-    const W: usize = F32x16::LANES;
-    if y.stride() != W || grid.stride != W || grid.bins > W {
-        return false;
-    }
-    let k = x.order();
-    if k > 8 {
-        return false;
-    }
-    joint_accumulate_w16(
-        &mut grid.data,
-        x.first_bins_flat(),
-        x.weights_flat(),
-        k,
-        y.as_slice(),
-        perm,
-    );
-    true
+    PairKernel::new(x, y).joint(&[RowSource::Identity], grid);
 }
 
 /// As [`joint_counts`] but pairing sample `s` of `x` with sample `perm[s]`
-/// of `y`.
+/// of `y`. Checks every index of `perm` (O(m)); the batched null loop of
+/// [`crate::mi_with_nulls`] takes permutations proven once instead.
 ///
 /// # Panics
-/// As [`joint_counts`], plus if `perm.len()` differs from the sample count.
+/// As [`joint_counts`], plus if `perm.len()` differs from the sample count
+/// or an index is out of range.
 pub fn joint_counts_permuted(
     x: &SparseWeights,
     y: &DenseWeights,
     perm: &[u32],
     grid: &mut VectorGrid,
 ) {
-    check_pair(x, y);
-    assert_eq!(perm.len(), x.samples(), "permutation length mismatch");
-    grid.reset(y);
-    if joint_counts_w16(x, y, Some(perm), grid) {
-        return;
-    }
-    for (s, &p) in perm.iter().enumerate() {
-        let fx = x.first_bin(s);
-        let wx = x.sample_weights(s);
-        let y_row = y.row(p as usize); // cast-ok: u32 to usize widens losslessly
-        for (i, &wxi) in wx.iter().enumerate() {
-            axpy(wxi, y_row, grid.row_mut(fx + i));
-        }
-    }
+    let pair = PairKernel::new(x, y);
+    pair.joint(&[checked_perm(x, y, perm)], grid);
 }
 
 /// Mutual information (nats) via the vector kernel, given precomputed
 /// marginal entropies.
 pub fn mi(x: &SparseWeights, y: &DenseWeights, hx: f64, hy: f64, grid: &mut VectorGrid) -> f64 {
-    joint_counts(x, y, grid);
-    // cast-ok: sample counts are far below f64's 2^53 exact-integer range
-    let hxy = entropy_from_counts(grid.as_slice(), x.samples() as f64);
-    hx + hy - hxy
+    PairKernel::new(x, y).mi(RowSource::Identity, hx, hy, grid)
 }
 
 /// Mutual information (nats) of `x` against permuted `y` via the vector
@@ -171,10 +236,15 @@ pub fn mi_permuted(
     hy: f64,
     grid: &mut VectorGrid,
 ) -> f64 {
-    joint_counts_permuted(x, y, perm, grid);
-    // cast-ok: sample counts are far below f64's 2^53 exact-integer range
-    let hxy = entropy_from_counts(grid.as_slice(), x.samples() as f64);
-    hx + hy - hxy
+    let pair = PairKernel::new(x, y);
+    pair.mi(checked_perm(x, y, perm), hx, hy, grid)
+}
+
+/// `perm` checked against the pair (O(m)): one index per sample, each a
+/// row of `y`.
+fn checked_perm<'p>(x: &SparseWeights, y: &DenseWeights, perm: &'p [u32]) -> RowSource<'p> {
+    assert_eq!(perm.len(), x.samples(), "permutation length mismatch");
+    RowSource::Permuted(PermRow::new(perm, y.samples()))
 }
 
 fn check_pair(x: &SparseWeights, y: &DenseWeights) {
@@ -283,6 +353,22 @@ mod tests {
     }
 
     #[test]
+    fn grids_start_on_cache_lines() {
+        let basis = BsplineBasis::tinge_default();
+        let (a, b) = random_profiles(3, 40);
+        let x = prep(&a, &basis);
+        let yd = prep(&b, &basis).to_dense();
+        let mut grid = VectorGrid::for_dense(&yd);
+        assert_eq!(grid.as_slice().as_ptr() as usize % 64, 0);
+        joint_counts(&x, &yd, &mut grid);
+        assert_eq!(grid.clone().as_slice().as_ptr() as usize % 64, 0);
+        let batch = VectorGrid::batch_for_dense(&yd, gnet_simd::BATCH);
+        for g in 0..gnet_simd::BATCH {
+            assert_eq!(batch.grid(g).as_ptr() as usize % 64, 0, "grid {g}");
+        }
+    }
+
+    #[test]
     fn grid_mass_is_sample_count() {
         let basis = BsplineBasis::tinge_default();
         let (a, b) = random_profiles(2, 41);
@@ -342,6 +428,26 @@ mod tests {
         let yd = prep(&[1.0, 2.0, 3.0], &BsplineBasis::new(3, 12)).to_dense();
         let mut grid = VectorGrid::for_dense(&yd);
         joint_counts(&x, &yd, &mut grid);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation length mismatch")]
+    fn short_permutation_panics() {
+        let basis = BsplineBasis::tinge_default();
+        let x = prep(&[0.1, 0.5, 0.9], &basis);
+        let yd = prep(&[0.3, 0.2, 0.7], &basis).to_dense();
+        let mut grid = VectorGrid::for_dense(&yd);
+        joint_counts_permuted(&x, &yd, &[1, 0], &mut grid);
+    }
+
+    #[test]
+    #[should_panic(expected = "perm index out of range")]
+    fn out_of_range_permutation_panics() {
+        let basis = BsplineBasis::tinge_default();
+        let x = prep(&[0.1, 0.5, 0.9], &basis);
+        let yd = prep(&[0.3, 0.2, 0.7], &basis).to_dense();
+        let mut grid = VectorGrid::for_dense(&yd);
+        joint_counts_permuted(&x, &yd, &[1, 0, 3], &mut grid);
     }
 
     proptest! {

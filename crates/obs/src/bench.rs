@@ -225,9 +225,9 @@ fn kernel_bench(id: &str, kernel: MiKernel, opts: &BenchOptions) -> BenchEntry {
     let mut scratch = MiScratch::for_basis(&basis);
     let pairs = kernel_pairs(quick);
     let mut mutated = MutatedVectorKernel::new(KernelMutation::DroppedPaddingZeroing);
-    // The mutated pass runs the same row-FMA loop as the real kernel
-    // but skips the pair's q null re-evaluations, so its cost per call
-    // is a machine/profile-dependent fraction of a pair's cost.
+    // The mutated pass runs the pair's q + 1 evaluations through the
+    // general row-FMA loop rather than the batched SIMD kernel, so its
+    // cost per call is a machine/profile-dependent multiple of a pair's.
     // Calibrate how many passes reproduce one pair before timing, so
     // `--inject-slowdown F` yields ≈F× wall time rather than a fixed
     // (and possibly negligible) increment.
@@ -251,7 +251,9 @@ fn kernel_bench(id: &str, kernel: MiKernel, opts: &BenchOptions) -> BenchEntry {
         let t = Instant::now();
         for p in 0..probe * 4 {
             let (i, j) = (p % genes, (p + 1) % genes);
-            sink += mutated.mi(&prepared[i], &prepared[j], &dense[j]);
+            sink += mutated
+                .mi_with_nulls(&prepared[i], &prepared[j], &dense[j], perms.as_vecs())
+                .observed;
         }
         let pass_cost = (t.elapsed().as_secs_f64() / (probe * 4) as f64).max(1e-9);
         assert!(sink.is_finite(), "calibration outputs stayed finite");
@@ -285,7 +287,9 @@ fn kernel_bench(id: &str, kernel: MiKernel, opts: &BenchOptions) -> BenchEntry {
             sink += r.observed;
             if kernel == MiKernel::VectorDense {
                 for _ in 0..extra_passes {
-                    sink += mutated.mi(&prepared[i], &prepared[j], &dense[j]);
+                    sink += mutated
+                        .mi_with_nulls(&prepared[i], &prepared[j], &dense[j], perms.as_vecs())
+                        .observed;
                 }
             }
         }

@@ -24,5 +24,5 @@ pub mod normal;
 pub mod permutation;
 pub mod significance;
 
-pub use permutation::PermutationSet;
+pub use permutation::{PermutationSet, PermutationSetError, PermutationSetWire};
 pub use significance::{empirical_p_value, EdgeTest, PooledNull};

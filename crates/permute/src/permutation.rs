@@ -1,8 +1,11 @@
 //! Seeded permutation generation (Fisher–Yates) and the shared set.
 
+use core::fmt;
+
+use gnet_simd::{RowPerms, RowPermsError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 
 /// Draw a uniform random permutation of `0..m` with Fisher–Yates.
 pub fn fisher_yates(m: usize, rng: &mut StdRng) -> Vec<u32> {
@@ -32,11 +35,92 @@ pub fn is_permutation(p: &[u32]) -> bool {
 
 /// The shared set of `q` permutations of the sample index space, drawn once
 /// from a seed and reused for every gene pair.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Every way to build one yields bijections of `0..samples`:
+/// [`PermutationSet::generate`] draws them, and deserialization checks
+/// them through [`PermutationSet::try_from`]. The set holds them as a
+/// [`RowPerms`], whose range proof the joint kernels rely on instead of
+/// re-checking indices per call.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PermutationSet {
-    samples: usize,
     seed: u64,
-    perms: Vec<Vec<u32>>,
+    perms: RowPerms,
+}
+
+/// The serialized form of a [`PermutationSet`]: plain fields, unchecked.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PermutationSetWire {
+    /// Sample-space size `m`.
+    pub samples: usize,
+    /// Seed the set was drawn from.
+    pub seed: u64,
+    /// The permutations.
+    pub perms: Vec<Vec<u32>>,
+}
+
+/// Why a decoded permutation set was rejected.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PermutationSetError {
+    /// A permutation has the wrong length or an index `>= samples`.
+    Rows(RowPermsError),
+    /// Permutation `perm` repeats a sample index.
+    NotABijection {
+        /// Which permutation.
+        perm: usize,
+    },
+}
+
+impl fmt::Display for PermutationSetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Rows(e) => write!(f, "invalid permutation set: {e}"),
+            Self::NotABijection { perm } => {
+                write!(
+                    f,
+                    "invalid permutation set: permutation {perm} repeats an index"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for PermutationSetError {}
+
+impl TryFrom<PermutationSetWire> for PermutationSet {
+    type Error = PermutationSetError;
+
+    fn try_from(wire: PermutationSetWire) -> Result<Self, Self::Error> {
+        let perms = RowPerms::new(wire.samples, wire.perms).map_err(PermutationSetError::Rows)?;
+        if let Some(perm) = perms.iter().position(|p| !is_permutation(p.as_slice())) {
+            return Err(PermutationSetError::NotABijection { perm });
+        }
+        Ok(Self {
+            seed: wire.seed,
+            perms,
+        })
+    }
+}
+
+impl From<&PermutationSet> for PermutationSetWire {
+    fn from(set: &PermutationSet) -> Self {
+        Self {
+            samples: set.samples(),
+            seed: set.seed,
+            perms: set.perms.iter().map(|p| p.as_slice().to_vec()).collect(),
+        }
+    }
+}
+
+impl Serialize for PermutationSet {
+    fn serialize(&self) -> Content {
+        PermutationSetWire::from(self).serialize()
+    }
+}
+
+impl Deserialize for PermutationSet {
+    fn deserialize(content: &Content) -> Result<Self, serde::Error> {
+        Self::try_from(PermutationSetWire::deserialize(content)?).map_err(serde::Error::custom)
+    }
 }
 
 impl PermutationSet {
@@ -72,9 +156,9 @@ impl PermutationSet {
             }
         }
         Self {
-            samples,
             seed,
-            perms,
+            perms: RowPerms::new(samples, perms)
+                .expect("Fisher–Yates draws permutations of 0..samples"),
         }
     }
 
@@ -90,7 +174,7 @@ impl PermutationSet {
 
     /// Sample-space size `m` the permutations act on.
     pub fn samples(&self) -> usize {
-        self.samples
+        self.perms.rows()
     }
 
     /// Seed the set was drawn from (recorded for reproducibility).
@@ -100,11 +184,12 @@ impl PermutationSet {
 
     /// Permutation `i`.
     pub fn get(&self, i: usize) -> &[u32] {
-        &self.perms[i]
+        self.perms.get(i).as_slice()
     }
 
-    /// All permutations, in draw order — the shape `mi_with_nulls` expects.
-    pub fn as_vecs(&self) -> &[Vec<u32>] {
+    /// All permutations, in draw order, with their range proof — the
+    /// shape `mi_with_nulls` expects.
+    pub fn as_vecs(&self) -> &RowPerms {
         &self.perms
     }
 }
@@ -187,6 +272,65 @@ mod tests {
     #[should_panic(expected = "fewer than 2 samples")]
     fn tiny_sample_space_with_q_panics() {
         let _ = PermutationSet::generate(1, 5, 1);
+    }
+
+    fn wire(samples: usize, perms: Vec<Vec<u32>>) -> Content {
+        PermutationSetWire {
+            samples,
+            seed: 9,
+            perms,
+        }
+        .serialize()
+    }
+
+    #[test]
+    fn serde_round_trips_a_generated_set() {
+        let set = PermutationSet::generate(40, 6, 8);
+        assert_eq!(PermutationSet::deserialize(&set.serialize()), Ok(set));
+    }
+
+    #[test]
+    fn decoding_rejects_an_out_of_range_index() {
+        let err = PermutationSet::try_from(PermutationSetWire {
+            samples: 3,
+            seed: 1,
+            perms: vec![vec![2, 0, 1], vec![0, 3, 1]],
+        });
+        assert_eq!(
+            err,
+            Err(PermutationSetError::Rows(RowPermsError::OutOfRange {
+                perm: 1,
+                sample: 1,
+                index: 3,
+                rows: 3
+            }))
+        );
+        let decoded = PermutationSet::deserialize(&wire(3, vec![vec![0, 3, 1]]));
+        assert!(decoded.is_err_and(|e| e.to_string().contains("outside 0..3")));
+    }
+
+    #[test]
+    fn decoding_rejects_a_wrong_length_permutation() {
+        let err = PermutationSet::try_from(PermutationSetWire {
+            samples: 3,
+            seed: 1,
+            perms: vec![vec![1, 0]],
+        });
+        assert_eq!(
+            err,
+            Err(PermutationSetError::Rows(RowPermsError::Length {
+                perm: 0,
+                len: 2,
+                rows: 3
+            }))
+        );
+        assert!(PermutationSet::deserialize(&wire(3, vec![vec![1, 0]])).is_err());
+    }
+
+    #[test]
+    fn decoding_rejects_a_repeated_index() {
+        let err = PermutationSet::deserialize(&wire(3, vec![vec![1, 0, 2], vec![1, 1, 2]]));
+        assert!(err.is_err_and(|e| e.to_string().contains("permutation 1 repeats")));
     }
 
     proptest! {

@@ -26,6 +26,7 @@ use core::fmt;
 use core::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use crate::joint::{BinWindows, RowSource};
 use crate::slice_ops;
 
 /// One of the selectable slice-kernel implementations.
@@ -113,9 +114,9 @@ impl fmt::Display for Backend {
     }
 }
 
-/// Signature of the dispatched joint-histogram accumulator
-/// ([`slice_ops::joint_accumulate_w16`]).
-pub type JointFn = fn(&mut [f32], &[u16], &[f32], usize, &[f32], Option<&[u32]>);
+/// Signature of the dispatched batched joint-histogram accumulator
+/// ([`slice_ops::joint_accumulate_w16_batch`]).
+pub type JointBatchFn = fn(&mut [f32], &BinWindows<'_>, &[f32], &[RowSource<'_>]);
 
 /// The function-pointer table one backend exposes. All entries are safe
 /// functions: the hardware entries validate their slice arguments before
@@ -134,8 +135,9 @@ pub struct KernelTable {
     pub xlogx_sum: fn(&[f32]) -> f32,
     /// In-place scalar multiply.
     pub scale: fn(f32, &mut [f32]),
-    /// Dense 16-lane joint-histogram accumulation (the paper's kernel).
-    pub joint_accumulate_w16: JointFn,
+    /// Dense 16-lane joint-histogram accumulation into a batch of grids
+    /// (the paper's kernel).
+    pub joint_accumulate_w16_batch: JointBatchFn,
 }
 
 static EMULATED_TABLE: KernelTable = KernelTable {
@@ -145,7 +147,7 @@ static EMULATED_TABLE: KernelTable = KernelTable {
     axpy: slice_ops::axpy_emulated,
     xlogx_sum: slice_ops::xlogx_sum_emulated,
     scale: slice_ops::scale_emulated,
-    joint_accumulate_w16: slice_ops::joint_accumulate_w16_emulated,
+    joint_accumulate_w16_batch: slice_ops::joint_accumulate_w16_batch_emulated,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -156,7 +158,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     axpy: crate::x86::avx2::axpy,
     xlogx_sum: crate::x86::avx2::xlogx_sum,
     scale: crate::x86::avx2::scale,
-    joint_accumulate_w16: crate::x86::avx2::joint_accumulate_w16,
+    joint_accumulate_w16_batch: crate::x86::avx2::joint_accumulate_w16_batch,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -167,10 +169,12 @@ static AVX512_TABLE: KernelTable = KernelTable {
     axpy: crate::x86::avx512::axpy,
     xlogx_sum: crate::x86::avx512::xlogx_sum,
     scale: crate::x86::avx512::scale,
-    joint_accumulate_w16: crate::x86::avx512::joint_accumulate_w16,
+    joint_accumulate_w16_batch: crate::x86::avx512::joint_accumulate_w16_batch,
 };
 
-fn table_for(b: Backend) -> &'static KernelTable {
+/// The kernel table of backend `b`, without touching the active choice.
+/// Callers must only run it when `b.is_supported()`.
+pub(crate) fn table_for(b: Backend) -> &'static KernelTable {
     match b {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx512 => &AVX512_TABLE,

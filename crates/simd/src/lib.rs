@@ -12,13 +12,18 @@
 //!   data).
 //! * Slice kernels — [`slice_ops`] — the whole-slice primitives the MI
 //!   estimators are built from (`sum`, `dot`, `axpy`, `xlogx_sum`,
-//!   `scale`, `joint_accumulate_w16`), each in a `_scalar` reference form,
+//!   `scale`, `joint_accumulate_w16{,_batch}`), each in a `_scalar` reference form,
 //!   a portable `_emulated` laned form, and a dispatched public form that
 //!   runs real `std::arch` intrinsics — AVX-512F (one 512-bit FMA per
 //!   16-lane row, the paper's KNC shape) or AVX2+FMA (two 256-bit
 //!   registers per row) — selected once at runtime by [`dispatch`] from
 //!   `is_x86_feature_detected!`, with `GNET_SIMD_FORCE` / API overrides
 //!   for testing and benchmarking every path.
+//!
+//! * Proven kernel inputs — [`joint`] — whose constructors check every
+//!   row index once, so the batched joint kernel does only O(1) shape
+//!   checks per call, and [`AlignedVec`], the 64-byte-aligned buffer the
+//!   grids and dense weight rows live in.
 //!
 //! The [`VectorModel`] descriptor exports the lane geometry to the
 //! `gnet-phi` machine model so simulated platforms can be given the vector
@@ -34,13 +39,17 @@
 // after runtime CPU-feature detection.
 #![allow(unsafe_code)]
 
+pub mod aligned;
 pub mod dispatch;
+pub mod joint;
 pub mod lanes;
 pub mod model;
 pub mod slice_ops;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
 
+pub use aligned::AlignedVec;
 pub use dispatch::{active_backend, dispatch_report, Backend, DispatchReport};
+pub use joint::{BinWindows, PermRow, RowPerms, RowPermsError, RowSource, BATCH};
 pub use lanes::{F32x16, F32x8, F64x4, F64x8, LaneCount};
 pub use model::VectorModel;

@@ -24,6 +24,7 @@
 //! agrees to a few ULP (vectorized `ln`).
 
 use crate::dispatch;
+use crate::joint::{BinWindows, PermRow, RowSource, BATCH};
 use crate::lanes::F32x16;
 
 /// Width used by the laned slice kernels.
@@ -142,7 +143,8 @@ pub fn scale(a: f32, x: &mut [f32]) {
 ///
 /// One call performs `m·k` contiguous row FMAs — exactly one 512-bit FMA
 /// each on AVX-512 — replacing the scalar kernel's `m·k²` scattered
-/// multiply-adds.
+/// multiply-adds. This raw-slice entry checks every index on each call
+/// and then runs the one-grid case of [`joint_accumulate_w16_batch`].
 ///
 /// # Panics
 /// Panics if `grid` or `y_rows` is not a multiple of 16 long, if
@@ -158,54 +160,86 @@ pub fn joint_accumulate_w16(
     y_rows: &[f32],
     perm: Option<&[u32]>,
 ) {
-    (dispatch::table().joint_accumulate_w16)(grid, first_bins, weights, k, y_rows, perm)
-}
-
-/// Shape validation shared by every `joint_accumulate_w16` backend — the
-/// hardware backends' raw-pointer bounds proofs all start from these
-/// panics firing first.
-pub(crate) fn validate_joint_w16(
-    grid: &[f32],
-    first_bins: &[u16],
-    weights: &[f32],
-    k: usize,
-    y_rows: &[f32],
-    perm: Option<&[u32]>,
-) {
-    assert!(
-        (1..=W).contains(&k),
-        "joint_accumulate_w16: order {k} outside 1..={W}"
-    );
     assert_eq!(
         grid.len() % W,
         0,
         "joint_accumulate_w16: grid not row-padded"
+    );
+    let x = BinWindows::new(first_bins, weights, k, grid.len() / W);
+    let source = match perm {
+        None => RowSource::Identity,
+        Some(p) => {
+            assert_eq!(p.len(), first_bins.len(), "permutation length mismatch");
+            RowSource::Permuted(PermRow::new(p, y_rows.len() / W))
+        }
+    };
+    joint_accumulate_w16_batch(grid, &x, y_rows, &[source]);
+}
+
+/// [`joint_accumulate_w16`] into `sources.len()` grids at once (at most
+/// [`BATCH`]): grid `b` is `grids[b*rows*16..(b+1)*rows*16]` and pairs
+/// sample `s` with `y` row `s` or `perm[s]` as `sources[b]` says. One
+/// pass over `x`'s samples feeds every grid, so each sample's first bin
+/// and weights are loaded once per batch. Every grid keeps the one-grid
+/// summation order (samples, then weights, one FMA each), so each is
+/// bit-identical to a [`joint_accumulate_w16`] call.
+///
+/// The index bounds come with the arguments' types ([`BinWindows`],
+/// [`PermRow`]), so a call checks only O(1) shapes per grid.
+///
+/// # Panics
+/// Panics if `sources` is empty or longer than [`BATCH`], if `grids` is
+/// not `sources.len()` grids of `x.rows()` 16-float rows, if `y_rows` is
+/// not a multiple of 16 long, or if a source does not fit `x` and
+/// `y_rows` (wrong length, or more rows than `y_rows` holds).
+pub fn joint_accumulate_w16_batch(
+    grids: &mut [f32],
+    x: &BinWindows<'_>,
+    y_rows: &[f32],
+    sources: &[RowSource<'_>],
+) {
+    (dispatch::table().joint_accumulate_w16_batch)(grids, x, y_rows, sources)
+}
+
+/// O(1)-per-grid shape checks shared by every batched backend. Together
+/// with the proofs [`BinWindows`] and [`PermRow`] carry, they bound every
+/// row the hardware backends touch through raw pointers.
+pub(crate) fn check_joint_batch(
+    grids: &[f32],
+    x: &BinWindows<'_>,
+    y_rows: &[f32],
+    sources: &[RowSource<'_>],
+) {
+    assert!(
+        (1..=BATCH).contains(&sources.len()),
+        "joint_accumulate_w16: {} grids outside 1..={BATCH}",
+        sources.len()
+    );
+    assert_eq!(
+        grids.len(),
+        sources.len() * x.rows() * W,
+        "joint_accumulate_w16: grid batch shape"
     );
     assert_eq!(
         y_rows.len() % W,
         0,
         "joint_accumulate_w16: y_rows not row-padded"
     );
-    let rows = grid.len() / W;
     let y_count = y_rows.len() / W;
-    let m = first_bins.len();
-    assert_eq!(weights.len(), m * k, "joint_accumulate_w16: weights shape");
-    match perm {
-        None => assert!(y_count >= m, "joint_accumulate_w16: too few y rows"),
-        Some(p) => {
-            assert_eq!(p.len(), m, "permutation length mismatch");
-            for &py in p {
-                let py = py as usize; // cast-ok: u32 to usize widens losslessly
+    for source in sources {
+        match *source {
+            RowSource::Identity => assert!(
+                y_count >= x.samples(),
+                "joint_accumulate_w16: too few y rows"
+            ),
+            RowSource::Permuted(p) => {
+                assert_eq!(p.len(), x.samples(), "permutation length mismatch");
                 assert!(
-                    py < y_count,
+                    p.rows() <= y_count,
                     "joint_accumulate_w16: perm index out of range"
                 );
             }
         }
-    }
-    for &fb in first_bins {
-        let fb = fb as usize; // cast-ok: u16 to usize widens losslessly
-        assert!(fb + k <= rows, "joint_accumulate_w16: bin row out of range");
     }
 }
 
@@ -301,31 +335,35 @@ pub fn scale_emulated(a: f32, x: &mut [f32]) {
     }
 }
 
-/// Portable emulated backend of [`joint_accumulate_w16`]: the dense row
-/// FMAs run on [`F32x16`] values loaded from and stored back to the grid
-/// rows. Same per-cell operation order as the hardware backends, so
+/// Portable emulated backend of [`joint_accumulate_w16_batch`]: the dense
+/// row FMAs run on [`F32x16`] values loaded from and stored back to the
+/// grid rows. Same per-cell operation order as the hardware backends, so
 /// results agree bitwise on FMA hosts.
-pub fn joint_accumulate_w16_emulated(
-    grid: &mut [f32],
-    first_bins: &[u16],
-    weights: &[f32],
-    k: usize,
+pub fn joint_accumulate_w16_batch_emulated(
+    grids: &mut [f32],
+    x: &BinWindows<'_>,
     y_rows: &[f32],
-    perm: Option<&[u32]>,
+    sources: &[RowSource<'_>],
 ) {
-    validate_joint_w16(grid, first_bins, weights, k, y_rows, perm);
-    for s in 0..first_bins.len() {
-        let ys = match perm {
-            Some(p) => p[s] as usize, // cast-ok: u32 to usize widens losslessly
-            None => s,
-        };
-        let y = F32x16::from_slice(&y_rows[ys * W..]);
-        let fx = first_bins[s] as usize; // cast-ok: u16 to usize widens losslessly
-        let wrow = &weights[s * k..s * k + k];
-        for (i, &w) in wrow.iter().enumerate() {
-            let row = &mut grid[(fx + i) * W..(fx + i + 1) * W];
-            y.mul_add(F32x16::splat(w), F32x16::from_slice(row))
-                .write_to_slice(row);
+    check_joint_batch(grids, x, y_rows, sources);
+    let k = x.order();
+    let grid_len = x.rows() * W;
+    let mut y = [F32x16::zero(); BATCH];
+    for (s, &fb) in x.first_bins().iter().enumerate() {
+        for (yb, source) in y.iter_mut().zip(sources) {
+            let ys = match *source {
+                RowSource::Identity => s,
+                RowSource::Permuted(p) => p.as_slice()[s] as usize, // cast-ok: u32 to usize widens losslessly
+            };
+            *yb = F32x16::from_slice(&y_rows[ys * W..]);
+        }
+        let fx = fb as usize; // cast-ok: u16 to usize widens losslessly
+        for (i, &w) in x.weights()[s * k..s * k + k].iter().enumerate() {
+            let wv = F32x16::splat(w);
+            for (grid, yb) in grids.chunks_exact_mut(grid_len).zip(&y) {
+                let row = &mut grid[(fx + i) * W..(fx + i + 1) * W];
+                yb.mul_add(wv, F32x16::from_slice(row)).write_to_slice(row);
+            }
         }
     }
 }
@@ -489,7 +527,8 @@ mod tests {
 
     // -- backend equivalence: every supported hardware backend vs emulated --
 
-    use crate::dispatch::{with_forced, Backend};
+    use crate::dispatch::{self, with_forced, Backend};
+    use crate::joint::RowPerms;
 
     fn naive_joint(
         rows: usize,
@@ -604,40 +643,153 @@ mod tests {
             }
         }
 
-        /// The joint accumulator is pure FMA, so it is bitwise across
-        /// backends, permuted and identity alike.
+        /// The batched joint accumulator is pure FMA in the one-grid order,
+        /// so every grid of every batch is bitwise equal to the naive
+        /// one-grid reference, on every backend this host supports. Each
+        /// backend's entry is called directly (no dispatch swap), over
+        /// every batch tail length, q = 0, edge sample counts, orders
+        /// 1..=8 and 2..=16 bins.
         #[test]
-        fn prop_joint_accumulate_bitwise_across_backends(
+        fn prop_joint_batch_bitwise_on_every_backend(
             seed in 0u64..1000,
-            m in 1usize..60,
+            m_pick in 0usize..5,
+            q in 0usize..=8,
             k in 1usize..=8,
-            rows in 8usize..=16,
+            bins in 2usize..=16,
         ) {
+            let m = [1usize, 15, 16, 17, 1000][m_pick];
+            let case = JointCase::new(seed, m, q, k, bins.max(k));
+            for b in Backend::supported() {
+                case.check(b);
+            }
+        }
+    }
+
+    /// A seeded batched-joint input: `x` windows, `y` rows and `q`
+    /// in-range (not necessarily bijective) permutations.
+    struct JointCase {
+        rows: usize,
+        k: usize,
+        first_bins: Vec<u16>,
+        weights: Vec<f32>,
+        y_rows: Vec<f32>,
+        perms: RowPerms,
+    }
+
+    impl JointCase {
+        fn new(seed: u64, m: usize, q: usize, k: usize, rows: usize) -> Self {
             let mixu = |i: usize| {
-                let z = (seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z >> 40
+                let z = (seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                    .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                usize::try_from(z >> 40).unwrap()
             };
-            let mixf = |i: usize| (mixu(i) as f32) / ((1u64 << 24) as f32);
-            let first_bins: Vec<u16> = (0..m)
-                .map(|s| u16::try_from(usize::try_from(mixu(s)).unwrap() % (rows - k + 1)).unwrap())
+            let mixf = |i: usize| mixu(i) as f32 / (1u32 << 24) as f32;
+            let perms = (0..q)
+                .map(|p| {
+                    (0..m)
+                        .map(|s| u32::try_from(mixu(p * m + s + 90_000) % m).unwrap())
+                        .collect()
+                })
                 .collect();
-            let weights: Vec<f32> = (0..m * k).map(|i| mixf(i + 1000)).collect();
-            let y_rows: Vec<f32> = (0..m * W).map(|i| mixf(i + 50_000)).collect();
-            let perm: Vec<u32> = (0..u32::try_from(m).unwrap()).rev().collect();
-            for p in [None, Some(&perm[..])] {
-                let mut reference = vec![0.0f32; rows * W];
-                joint_accumulate_w16_emulated(&mut reference, &first_bins, &weights, k, &y_rows, p);
-                for b in Backend::supported() {
-                    let grid = with_forced(b, || {
-                        let mut grid = vec![0.0f32; rows * W];
-                        joint_accumulate_w16(&mut grid, &first_bins, &weights, k, &y_rows, p);
-                        grid
-                    }).expect("supported backend");
-                    for (got, want) in grid.iter().zip(&reference) {
-                        prop_assert_eq!(got.to_bits(), want.to_bits(), "joint on {}", b);
+            Self {
+                rows,
+                k,
+                first_bins: (0..m)
+                    .map(|s| u16::try_from(mixu(s) % (rows - k + 1)).unwrap())
+                    .collect(),
+                weights: (0..m * k).map(|i| mixf(i + 1000)).collect(),
+                y_rows: (0..m * W).map(|i| mixf(i + 50_000)).collect(),
+                perms: RowPerms::new(m, perms).expect("indices are reduced mod m"),
+            }
+        }
+
+        /// Run the observed pass plus every null through backend `b` in
+        /// batches of `BATCH`, and compare each grid bitwise with
+        /// `naive_joint`.
+        fn check(&self, b: Backend) {
+            let x = BinWindows::new(&self.first_bins, &self.weights, self.k, self.rows);
+            let sources: Vec<RowSource<'_>> = core::iter::once(RowSource::Identity)
+                .chain(self.perms.iter().map(RowSource::Permuted))
+                .collect();
+            let grid_len = self.rows * W;
+            let kernel = dispatch::table_for(b).joint_accumulate_w16_batch;
+            for batch in sources.chunks(BATCH) {
+                let mut grids = vec![0.0f32; batch.len() * grid_len];
+                kernel(&mut grids, &x, &self.y_rows, batch);
+                for (grid, source) in grids.chunks_exact(grid_len).zip(batch) {
+                    let perm = match *source {
+                        RowSource::Identity => None,
+                        RowSource::Permuted(p) => Some(p.as_slice()),
+                    };
+                    let want = naive_joint(
+                        self.rows,
+                        &self.first_bins,
+                        &self.weights,
+                        self.k,
+                        &self.y_rows,
+                        perm,
+                    );
+                    for (got, want) in grid.iter().zip(&want) {
+                        assert_eq!(got.to_bits(), want.to_bits(), "joint batch on {b}");
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn joint_batch_covers_every_tail_length_on_every_backend() {
+        // q + 1 = 1..=9 evaluations: full batches plus tails of 1, 2, 3
+        // and none, and the q = 0 observed-only call.
+        for q in 0..=8 {
+            let case = JointCase::new(q as u64, 17, q, 3, 10);
+            for b in Backend::supported() {
+                case.check(b);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation length mismatch")]
+    fn joint_accumulate_rejects_short_perm() {
+        let mut grid = vec![0.0f32; 4 * W];
+        joint_accumulate_w16(
+            &mut grid,
+            &[0, 1],
+            &[1.0, 1.0],
+            1,
+            &[0.0; 2 * W],
+            Some(&[1]),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "too few y rows")]
+    fn joint_accumulate_rejects_short_y() {
+        let mut grid = vec![0.0f32; 4 * W];
+        joint_accumulate_w16(&mut grid, &[0, 1], &[1.0, 1.0], 1, &[0.0; W], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "grid batch shape")]
+    fn joint_batch_rejects_missing_grid() {
+        let x = BinWindows::new(&[0], &[1.0], 1, 4);
+        let mut grids = vec![0.0f32; 4 * W];
+        joint_accumulate_w16_batch(
+            &mut grids,
+            &x,
+            &[0.0; W],
+            &[RowSource::Identity, RowSource::Identity],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "perm index out of range")]
+    fn joint_batch_rejects_perm_proven_for_more_rows() {
+        // A permutation proven against 4 rows cannot read a 1-row `y`.
+        let perm = PermRow::new(&[3], 4);
+        let x = BinWindows::new(&[0], &[1.0], 1, 4);
+        let mut grid = vec![0.0f32; 4 * W];
+        joint_accumulate_w16_batch(&mut grid, &x, &[0.0; W], &[RowSource::Permuted(perm)]);
     }
 }

@@ -22,9 +22,12 @@
 //! dispatch table (and therefore any caller) can reach this module. The
 //! wrappers validate slice lengths first, then the `unsafe` call is merely
 //! "the CPU has the feature", guaranteed by runtime detection in
-//! [`crate::dispatch`].
+//! [`crate::dispatch`]. The joint kernel's per-sample row indices arrive
+//! already proven by the types in [`crate::joint`], so its wrapper checks
+//! only O(1) shapes per grid.
 
-use crate::slice_ops::validate_joint_w16;
+use crate::joint::{BinWindows, RowSource, BATCH};
+use crate::slice_ops::check_joint_batch;
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 
@@ -81,19 +84,24 @@ pub(crate) mod avx512 {
         unsafe { scale_impl(a, x) }
     }
 
-    pub(crate) fn joint_accumulate_w16(
-        grid: &mut [f32],
-        first_bins: &[u16],
-        weights: &[f32],
-        k: usize,
+    pub(crate) fn joint_accumulate_w16_batch(
+        grids: &mut [f32],
+        x: &BinWindows<'_>,
         y_rows: &[f32],
-        perm: Option<&[u32]>,
+        sources: &[RowSource<'_>],
     ) {
-        validate_joint_w16(grid, first_bins, weights, k, y_rows, perm);
+        check_joint_batch(grids, x, y_rows, sources);
         // SAFETY: avx512f verified at dispatch-table selection;
-        // `validate_joint_w16` just proved every row index the inner fn
-        // derives from `first_bins`/`perm` stays inside `grid`/`y_rows`.
-        unsafe { joint_impl(grid, first_bins, weights, k, y_rows, perm) }
+        // `check_joint_batch` just accepted the shapes and each arm passes
+        // B == sources.len() — the whole `joint_impl` contract.
+        unsafe {
+            match sources.len() {
+                1 => joint_impl::<1>(grids, x, y_rows, sources),
+                2 => joint_impl::<2>(grids, x, y_rows, sources),
+                3 => joint_impl::<3>(grids, x, y_rows, sources),
+                _ => joint_impl::<BATCH>(grids, x, y_rows, sources),
+            }
+        }
     }
 
     // ---- feature-gated implementations ----
@@ -260,34 +268,58 @@ pub(crate) mod avx512 {
         reduce_add_tree(acc)
     }
 
+    /// Accumulate `B` joint grids in one pass over `x`'s samples: per
+    /// sample, load the `B` source rows of `y`, then for each of the `k`
+    /// weights broadcast it once and FMA it into row `first_bin + i` of
+    /// every grid. Each grid sees the one-grid order (samples, then
+    /// weights), so it is bit-identical to a `B = 1` call.
+    ///
+    /// # Safety
+    /// The CPU supports avx512f, `check_joint_batch(grids, x, y_rows,
+    /// sources)` has passed, and `B == sources.len()`.
     #[target_feature(enable = "avx512f")]
-    fn joint_impl(
-        grid: &mut [f32],
-        first_bins: &[u16],
-        weights: &[f32],
-        k: usize,
+    // safety: the contract above is discharged by the entry wrapper.
+    unsafe fn joint_impl<const B: usize>(
+        grids: &mut [f32],
+        x: &BinWindows<'_>,
         y_rows: &[f32],
-        perm: Option<&[u32]>,
+        sources: &[RowSource<'_>],
     ) {
-        let gp = grid.as_mut_ptr();
+        let gp = grids.as_mut_ptr();
         let yp = y_rows.as_ptr();
-        for s in 0..first_bins.len() {
-            let ys = match perm {
-                Some(p) => p[s] as usize, // cast-ok: u32 to usize widens losslessly
-                None => s,
-            };
-            // SAFETY: validate_joint_w16 (entry wrapper) proved
-            // ys*16 + 16 ≤ y_rows.len() for every permuted or identity row.
-            let yv = unsafe { _mm512_loadu_ps(yp.add(ys * W)) };
-            let fx = first_bins[s] as usize; // cast-ok: u16 to usize widens losslessly
-            let wrow = &weights[s * k..s * k + k];
-            for (i, &w) in wrow.iter().enumerate() {
-                let wv = _mm512_set1_ps(w);
-                // SAFETY: validate_joint_w16 proved fx + k ≤ grid.len()/16,
-                // so row fx+i's 16-float window is inside `grid`.
-                unsafe {
-                    let rp = gp.add((fx + i) * W);
-                    _mm512_storeu_ps(rp, _mm512_fmadd_ps(yv, wv, _mm512_loadu_ps(rp)));
+        let grid_len = x.rows() * W;
+        let k = x.order();
+        let wp = x.weights().as_ptr();
+        let idx: [Option<&[u32]>; B] = core::array::from_fn(|b| match sources[b] {
+            RowSource::Identity => None,
+            RowSource::Permuted(p) => Some(p.as_slice()),
+        });
+        for (s, &fb) in x.first_bins().iter().enumerate() {
+            let mut yv = [_mm512_setzero_ps(); B];
+            for b in 0..B {
+                let ys = match idx[b] {
+                    // SAFETY: check_joint_batch proved p.len() == m > s.
+                    Some(p) => unsafe { *p.get_unchecked(s) as usize }, // cast-ok: u32 to usize widens losslessly
+                    None => s,
+                };
+                // SAFETY: a PermRow's indices are < its rows ≤ y_rows.len()/16
+                // and identity rows s < m ≤ y_rows.len()/16 (check_joint_batch),
+                // so the 16 floats at ys*16 are inside `y_rows`.
+                yv[b] = unsafe { _mm512_loadu_ps(yp.add(ys * W)) };
+            }
+            let fx = fb as usize; // cast-ok: u16 to usize widens losslessly
+            for i in 0..k {
+                // SAFETY: BinWindows proved weights.len() == m·k, and
+                // s < m, i < k.
+                let wv = _mm512_set1_ps(unsafe { *wp.add(s * k + i) });
+                for (b, &y) in yv.iter().enumerate() {
+                    // SAFETY: BinWindows proved fx + k ≤ rows, and
+                    // check_joint_batch proved grids.len() == B·rows·16,
+                    // so row fx+i of grid b is inside `grids`.
+                    unsafe {
+                        let rp = gp.add(b * grid_len + (fx + i) * W);
+                        _mm512_storeu_ps(rp, _mm512_fmadd_ps(y, wv, _mm512_loadu_ps(rp)));
+                    }
                 }
             }
         }
@@ -333,19 +365,24 @@ pub(crate) mod avx2 {
         unsafe { scale_impl(a, x) }
     }
 
-    pub(crate) fn joint_accumulate_w16(
-        grid: &mut [f32],
-        first_bins: &[u16],
-        weights: &[f32],
-        k: usize,
+    pub(crate) fn joint_accumulate_w16_batch(
+        grids: &mut [f32],
+        x: &BinWindows<'_>,
         y_rows: &[f32],
-        perm: Option<&[u32]>,
+        sources: &[RowSource<'_>],
     ) {
-        validate_joint_w16(grid, first_bins, weights, k, y_rows, perm);
+        check_joint_batch(grids, x, y_rows, sources);
         // SAFETY: avx2+fma verified at dispatch-table selection;
-        // `validate_joint_w16` just proved every row index the inner fn
-        // derives from `first_bins`/`perm` stays inside `grid`/`y_rows`.
-        unsafe { joint_impl(grid, first_bins, weights, k, y_rows, perm) }
+        // `check_joint_batch` just accepted the shapes and each arm passes
+        // B == sources.len() — the whole `joint_impl` contract.
+        unsafe {
+            match sources.len() {
+                1 => joint_impl::<1>(grids, x, y_rows, sources),
+                2 => joint_impl::<2>(grids, x, y_rows, sources),
+                3 => joint_impl::<3>(grids, x, y_rows, sources),
+                _ => joint_impl::<BATCH>(grids, x, y_rows, sources),
+            }
+        }
     }
 
     // ---- feature-gated implementations ----
@@ -536,42 +573,63 @@ pub(crate) mod avx2 {
         reduce_add_tree(lo, hi)
     }
 
+    /// AVX2 twin of the AVX-512 `joint_impl`: the same loop, with each
+    /// 16-lane row held as two 256-bit halves.
+    ///
+    /// # Safety
+    /// The CPU supports avx2 and fma, `check_joint_batch(grids, x,
+    /// y_rows, sources)` has passed, and `B == sources.len()`.
     #[target_feature(enable = "avx2,fma")]
-    fn joint_impl(
-        grid: &mut [f32],
-        first_bins: &[u16],
-        weights: &[f32],
-        k: usize,
+    // safety: the contract above is discharged by the entry wrapper.
+    unsafe fn joint_impl<const B: usize>(
+        grids: &mut [f32],
+        x: &BinWindows<'_>,
         y_rows: &[f32],
-        perm: Option<&[u32]>,
+        sources: &[RowSource<'_>],
     ) {
-        let gp = grid.as_mut_ptr();
+        let gp = grids.as_mut_ptr();
         let yp = y_rows.as_ptr();
-        for s in 0..first_bins.len() {
-            let ys = match perm {
-                Some(p) => p[s] as usize, // cast-ok: u32 to usize widens losslessly
-                None => s,
-            };
-            // SAFETY: validate_joint_w16 (entry wrapper) proved
-            // ys*16 + 16 ≤ y_rows.len() for every permuted or identity row.
-            let (ylo, yhi) = unsafe {
-                (
-                    _mm256_loadu_ps(yp.add(ys * W)),
-                    _mm256_loadu_ps(yp.add(ys * W + 8)),
-                )
-            };
-            let fx = first_bins[s] as usize; // cast-ok: u16 to usize widens losslessly
-            let wrow = &weights[s * k..s * k + k];
-            for (i, &w) in wrow.iter().enumerate() {
-                let wv = _mm256_set1_ps(w);
-                // SAFETY: validate_joint_w16 proved fx + k ≤ grid.len()/16,
-                // so row fx+i's 16-float window is inside `grid`.
-                unsafe {
-                    let rp = gp.add((fx + i) * W);
-                    let r0 = _mm256_fmadd_ps(ylo, wv, _mm256_loadu_ps(rp));
-                    let r1 = _mm256_fmadd_ps(yhi, wv, _mm256_loadu_ps(rp.add(8)));
-                    _mm256_storeu_ps(rp, r0);
-                    _mm256_storeu_ps(rp.add(8), r1);
+        let grid_len = x.rows() * W;
+        let k = x.order();
+        let wp = x.weights().as_ptr();
+        let idx: [Option<&[u32]>; B] = core::array::from_fn(|b| match sources[b] {
+            RowSource::Identity => None,
+            RowSource::Permuted(p) => Some(p.as_slice()),
+        });
+        for (s, &fb) in x.first_bins().iter().enumerate() {
+            let mut yv = [(_mm256_setzero_ps(), _mm256_setzero_ps()); B];
+            for b in 0..B {
+                let ys = match idx[b] {
+                    // SAFETY: check_joint_batch proved p.len() == m > s.
+                    Some(p) => unsafe { *p.get_unchecked(s) as usize }, // cast-ok: u32 to usize widens losslessly
+                    None => s,
+                };
+                // SAFETY: a PermRow's indices are < its rows ≤ y_rows.len()/16
+                // and identity rows s < m ≤ y_rows.len()/16 (check_joint_batch),
+                // so the 16 floats at ys*16 are inside `y_rows`.
+                yv[b] = unsafe {
+                    (
+                        _mm256_loadu_ps(yp.add(ys * W)),
+                        _mm256_loadu_ps(yp.add(ys * W + 8)),
+                    )
+                };
+            }
+            let fx = fb as usize; // cast-ok: u16 to usize widens losslessly
+            for i in 0..k {
+                // SAFETY: BinWindows proved weights.len() == m·k, and
+                // s < m, i < k.
+                let wv = _mm256_set1_ps(unsafe { *wp.add(s * k + i) });
+                for (b, &(ylo, yhi)) in yv.iter().enumerate() {
+                    // SAFETY: BinWindows proved fx + k ≤ rows, and
+                    // check_joint_batch proved grids.len() == B·rows·16,
+                    // so row fx+i of grid b is inside `grids`.
+                    unsafe {
+                        let rp = gp.add(b * grid_len + (fx + i) * W);
+                        let r0 = _mm256_fmadd_ps(ylo, wv, _mm256_loadu_ps(rp));
+                        let r1 = _mm256_fmadd_ps(yhi, wv, _mm256_loadu_ps(rp.add(8)));
+                        _mm256_storeu_ps(rp, r0);
+                        _mm256_storeu_ps(rp.add(8), r1);
+                    }
                 }
             }
         }
