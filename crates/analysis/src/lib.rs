@@ -23,7 +23,7 @@
 //!   [`gnet_cluster::protocol::RankMachine`] through every schedule a
 //!   bounded adversary can produce (delivery orders, delays, drops,
 //!   duplicates, crashes), with deadlock/livelock/census/coverage
-//!   oracles, shrunk one-line replay specs, and a three-mutation
+//!   oracles, shrunk one-line replay specs, and a four-mutation
 //!   self-check proving the checker catches real protocol bugs.
 //!
 //! Vetted exceptions to the lints live in an allowlist file (see

@@ -200,6 +200,7 @@ fn mutation_ordinal(m: Mutation) -> u64 {
         Mutation::AcceptAnyRound => 1,
         Mutation::DoubleRedistribute => 2,
         Mutation::SkipSupplementBackstop => 3,
+        Mutation::WholeAntipodal => 4,
     }
 }
 

@@ -8,17 +8,17 @@
 //!
 //! * [`world`] — the transition system: machines × per-channel FIFO
 //!   message pools × fault budgets, plus the correctness oracles
-//!   (deadlock, census divergence, exact pair coverage).
+//!   (deadlock, census divergence, exact work-unit coverage).
 //! * [`explore`] — bounded stateful DFS with FNV fingerprint
 //!   deduplication (commuting interleavings collapse to one state, the
 //!   partial-order reduction that makes exhaustive bounds tractable)
 //!   and a seeded random-walk fallback once the state cap is hit.
-//! * [`self_check`] — proves the checker catches real bugs: three
-//!   historical protocol mutations are injected
-//!   ([`Mutation::AcceptAnyRound`], [`Mutation::DoubleRedistribute`],
-//!   [`Mutation::SkipSupplementBackstop`]) and each must be detected
-//!   with a shrunk, replayable schedule, while the faithful protocol
-//!   must explore clean.
+//! * [`self_check`] — proves the checker catches real bugs: four
+//!   protocol mutations are injected ([`Mutation::AcceptAnyRound`],
+//!   [`Mutation::DoubleRedistribute`],
+//!   [`Mutation::SkipSupplementBackstop`], [`Mutation::WholeAntipodal`])
+//!   and each must be detected with a shrunk, replayable schedule, while
+//!   the faithful protocol must explore clean.
 //!
 //! Failures shrink to a minimal [`Schedule`] string — same UX as the
 //! conformance harness's replay specs — e.g.:
@@ -35,6 +35,7 @@ pub mod world;
 
 pub use explore::{explore, ExploreReport, FoundViolation};
 pub use gnet_cluster::protocol::Mutation;
+use gnet_cluster::protocol::WorkUnit;
 pub use self_check::{self_check, SelfCheckEntry, SelfCheckReport};
 pub use world::{Budgets, World};
 
@@ -195,12 +196,13 @@ pub enum Violation {
         /// Steps taken when the budget ran out.
         steps: usize,
     },
-    /// The merged result is not exactly every unordered block pair once.
+    /// The merged result is not exactly every work unit once.
     Coverage {
-        /// Pairs never merged (lost work).
-        missing: Vec<(usize, usize)>,
-        /// Pairs merged more than once (double-counted work).
-        duplicated: Vec<(usize, usize)>,
+        /// Units never merged (lost work).
+        missing: Vec<WorkUnit>,
+        /// Units merged more than once, or not units of the ring at all
+        /// (double-counted work).
+        duplicated: Vec<WorkUnit>,
     },
     /// The coordinator's dead set disagrees with what it merged.
     CensusDivergence {
@@ -234,11 +236,19 @@ impl Violation {
             Self::Coverage {
                 missing,
                 duplicated,
-            } => format!(
-                "coverage: {} block pair(s) lost {missing:?}, {} duplicated {duplicated:?}",
-                missing.len(),
-                duplicated.len()
-            ),
+            } => {
+                let list = |units: &[WorkUnit]| {
+                    let items: Vec<String> = units.iter().map(ToString::to_string).collect();
+                    format!("[{}]", items.join(", "))
+                };
+                format!(
+                    "coverage: {} work unit(s) lost {}, {} duplicated {}",
+                    missing.len(),
+                    list(missing),
+                    duplicated.len(),
+                    list(duplicated)
+                )
+            }
             Self::CensusDivergence { detail } => format!("census divergence: {detail}"),
         }
     }
@@ -272,6 +282,7 @@ pub fn mutation_name(m: Mutation) -> &'static str {
         Mutation::AcceptAnyRound => "accept-any-round",
         Mutation::DoubleRedistribute => "double-redistribute",
         Mutation::SkipSupplementBackstop => "skip-supplement-backstop",
+        Mutation::WholeAntipodal => "whole-antipodal",
     }
 }
 
@@ -285,9 +296,10 @@ pub fn parse_mutation(s: &str) -> Result<Mutation, String> {
         "accept-any-round" => Ok(Mutation::AcceptAnyRound),
         "double-redistribute" => Ok(Mutation::DoubleRedistribute),
         "skip-supplement-backstop" => Ok(Mutation::SkipSupplementBackstop),
+        "whole-antipodal" => Ok(Mutation::WholeAntipodal),
         other => Err(format!(
             "unknown mutation {other:?} (expected none, accept-any-round, \
-             double-redistribute, or skip-supplement-backstop)"
+             double-redistribute, skip-supplement-backstop, or whole-antipodal)"
         )),
     }
 }

@@ -1,8 +1,8 @@
 //! The model checker's proof of usefulness.
 //!
 //! A checker that has never caught a bug is indistinguishable from one
-//! that cannot. The self-check injects three historical protocol bugs
-//! (see [`Mutation`]) into the *real* [`gnet_cluster::RankMachine`] and
+//! that cannot. The self-check injects four protocol bugs (see
+//! [`Mutation`]) into the *real* [`gnet_cluster::RankMachine`] and
 //! requires that exploration under the same bounds as the faithful run:
 //!
 //! 1. finds a violation for every mutant,
@@ -11,10 +11,18 @@
 //!    (the spec is evidence, not prose);
 //!
 //! while the unmutated protocol explores clean. Any failure of these
-//! four obligations fails `gnet analyze --protocol --self-check`.
+//! obligations fails `gnet analyze --protocol --self-check`.
 
 use super::explore::explore;
 use super::{mutation_name, replay, Bounds, Mutation};
+
+/// The injected bugs, in report order.
+const MUTATIONS: [Mutation; 4] = [
+    Mutation::AcceptAnyRound,
+    Mutation::DoubleRedistribute,
+    Mutation::SkipSupplementBackstop,
+    Mutation::WholeAntipodal,
+];
 
 /// Result of one self-check obligation.
 #[derive(Clone, Debug)]
@@ -79,12 +87,8 @@ pub fn self_check(bounds: &Bounds) -> SelfCheckReport {
         replay_ok: clean.ok,
     });
 
-    // Obligations 1–3: each injected bug is caught, shrunk, replayed.
-    for mutation in [
-        Mutation::AcceptAnyRound,
-        Mutation::DoubleRedistribute,
-        Mutation::SkipSupplementBackstop,
-    ] {
+    // Obligations 1–4: each injected bug is caught, shrunk, replayed.
+    for mutation in MUTATIONS {
         let mut states = 0;
         let mut entry = SelfCheckEntry {
             mutation,
@@ -153,11 +157,14 @@ pub fn render_text(report: &SelfCheckReport) -> String {
             ));
         }
     }
-    out.push_str(if report.ok {
-        "self-check passed: 3/3 mutations caught, faithful protocol clean\n"
+    if report.ok {
+        let n = MUTATIONS.len();
+        out.push_str(&format!(
+            "self-check passed: {n}/{n} mutations caught, faithful protocol clean\n"
+        ));
     } else {
-        "self-check FAILED\n"
-    });
+        out.push_str("self-check FAILED\n");
+    }
     out
 }
 
@@ -165,14 +172,19 @@ pub fn render_text(report: &SelfCheckReport) -> String {
 mod tests {
     use super::*;
 
-    /// The headline acceptance test: all three injected protocol bugs
+    /// The headline acceptance test: all four injected protocol bugs
     /// are detected under PR bounds, each with a shrunk schedule that
     /// replays to the same violation, and the faithful ring is clean.
     #[test]
-    fn quick_bounds_catch_all_three_mutations_and_pass_clean() {
+    fn quick_bounds_catch_all_four_mutations_and_pass_clean() {
         let report = self_check(&Bounds::quick());
         assert!(report.ok, "{}", render_text(&report));
-        assert_eq!(report.entries.len(), 4);
+        assert_eq!(report.entries.len(), 5);
+        assert!(
+            render_text(&report).contains("4/4 mutations caught"),
+            "{}",
+            render_text(&report)
+        );
         for e in &report.entries[1..] {
             assert!(e.caught_at_ranks.is_some(), "{:?} not caught", e.mutation);
             assert!(e.shrunk_len <= e.original_len);

@@ -21,17 +21,21 @@
 //!   job loss, so schedules that crash it check nothing.
 //!
 //! Coverage is tracked exactly the way the interpreter accumulates
-//! results: each rank's phase-1 pairs ([`Effect::ComputeDiag`] /
-//! [`Effect::ComputeCross`]) and supplement pairs
-//! ([`Effect::ComputeAssigned`]) are ledgered per rank, and enter the
-//! *merged* multiset only when the coordinator actually merges that
-//! rank's frame ([`Effect::AcceptResults`] / [`Effect::AcceptSupplement`])
-//! or recomputes its share ([`Effect::RecomputeShare`]). At
+//! results, in [`WorkUnit`]s: each rank's phase-1 units
+//! ([`Effect::ComputeDiag`] / [`Effect::ComputeCross`], the latter
+//! naming its half) and supplement units ([`Effect::ComputeAssigned`])
+//! are ledgered per rank, and enter the *merged* multiset only when the
+//! coordinator actually merges that rank's frame
+//! ([`Effect::AcceptResults`] / [`Effect::AcceptSupplement`]) or
+//! recomputes its share ([`Effect::RecomputeShare`]). At
 //! [`Effect::Finalize`] the coordinator's own ledgers join, and the
-//! merged multiset must be *exactly* every unordered block pair once —
-//! anything missing or duplicated is a protocol violation.
+//! merged multiset must be *exactly* every work unit once — anything
+//! missing, duplicated, or not a unit of the ring is a protocol
+//! violation.
 
-use gnet_cluster::protocol::{Effect, Event, Frame, Mutation, RankMachine, Wait};
+use gnet_cluster::protocol::{
+    work_units, Effect, Event, Frame, Half, Mutation, RankMachine, Wait, WorkUnit,
+};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
@@ -77,12 +81,12 @@ pub struct World {
     dropped: Vec<Vec<usize>>,
     left: Budgets,
     steps: usize,
-    /// Phase-1 pairs each rank computed (diag + owned cross pairs).
-    phase1: Vec<Vec<(usize, usize)>>,
-    /// Reassigned pairs each rank recomputed into its supplement.
-    supp: Vec<Vec<(usize, usize)>>,
-    /// Pairs the coordinator actually merged, as a multiset.
-    merged: Vec<(usize, usize)>,
+    /// Phase-1 units each rank computed (diag + owned cross units).
+    phase1: Vec<Vec<WorkUnit>>,
+    /// Reassigned units each rank recomputed into its supplement.
+    supp: Vec<Vec<WorkUnit>>,
+    /// Units the coordinator actually merged, as a multiset.
+    merged: Vec<WorkUnit>,
     /// Which ranks' phase-1 results the coordinator merged.
     results_merged: Vec<bool>,
     /// Dead set reported by `Effect::Finalize`, once it happens.
@@ -255,11 +259,11 @@ impl World {
                         self.chans[m][*to].push_back(frame.clone());
                     }
                 }
-                Effect::ComputeDiag => self.phase1[m].push((m, m)),
-                Effect::ComputeCross { block } => {
-                    self.phase1[m].push((m.min(*block), m.max(*block)));
+                Effect::ComputeDiag => self.phase1[m].push(WorkUnit::new(m, m, Half::Whole)),
+                Effect::ComputeCross { block, half } => {
+                    self.phase1[m].push(WorkUnit::new(m, *block, *half));
                 }
-                Effect::ComputeAssigned { pairs } => self.supp[m].extend(pairs.iter().copied()),
+                Effect::ComputeAssigned { units } => self.supp[m].extend(units.iter().copied()),
                 Effect::AcceptResults { from } => {
                     let part = self.phase1[*from].clone();
                     self.merged.extend(part);
@@ -269,7 +273,7 @@ impl World {
                     let part = self.supp[*from].clone();
                     self.merged.extend(part);
                 }
-                Effect::RecomputeShare { pairs, .. } => self.merged.extend(pairs.iter().copied()),
+                Effect::RecomputeShare { units, .. } => self.merged.extend(units.iter().copied()),
                 Effect::Finalize { dead } => {
                     let own = self.phase1[m].clone();
                     self.merged.extend(own);
@@ -330,25 +334,23 @@ impl World {
         let mut missing = Vec::new();
         let mut duplicated = Vec::new();
         let mut i = 0;
-        for a in 0..self.p {
-            for b in a..self.p {
-                let mut count = 0;
-                while i < got.len() && got[i] < (a, b) {
-                    // A pair outside the expected universe cannot occur
-                    // (every computed pair is a block pair), but count
-                    // it as a duplicate rather than silently skipping.
-                    duplicated.push(got[i]);
-                    i += 1;
-                }
-                while i < got.len() && got[i] == (a, b) {
-                    count += 1;
-                    i += 1;
-                }
-                match count {
-                    0 => missing.push((a, b)),
-                    1 => {}
-                    _ => duplicated.push((a, b)),
-                }
+        for unit in work_units(self.p) {
+            let mut count = 0;
+            while i < got.len() && got[i] < unit {
+                // A unit outside the ring's universe (e.g. a whole
+                // antipodal pair) overlaps the units it should have
+                // been split into: count it as duplicated work.
+                duplicated.push(got[i]);
+                i += 1;
+            }
+            while i < got.len() && got[i] == unit {
+                count += 1;
+                i += 1;
+            }
+            match count {
+                0 => missing.push(unit),
+                1 => {}
+                _ => duplicated.push(unit),
             }
         }
         duplicated.extend(got[i..].iter().copied());
@@ -443,6 +445,26 @@ mod tests {
             assert!(w.terminal(), "p={p} did not terminate");
             assert_eq!(w.check_terminal(), None, "p={p} violated");
         }
+    }
+
+    #[test]
+    fn whole_antipodal_mutant_double_counts_the_split_pair() {
+        let mut w = World::new(2, Mutation::WholeAntipodal, no_faults());
+        while let Some(&a) = w.enabled().first() {
+            w.apply(a);
+        }
+        assert!(w.terminal());
+        let whole = WorkUnit::new(0, 1, Half::Whole);
+        assert_eq!(
+            w.check_terminal(),
+            Some(Violation::Coverage {
+                missing: vec![
+                    WorkUnit::new(0, 1, Half::First),
+                    WorkUnit::new(0, 1, Half::Second)
+                ],
+                duplicated: vec![whole, whole],
+            })
+        );
     }
 
     #[test]

@@ -915,7 +915,7 @@ const UNSAFE_AUDIT_LINTS: [&str; 3] = ["unsafe-justified", "send-sync-audit", "a
 /// to the unsafe-audit family), `--concurrency` (deterministic
 /// interleaving checker) with `--runs N` (default 25), `--protocol`
 /// (explore the unmutated ring protocol), `--self-check` (prove the
-/// checker catches three injected protocol mutations), `--full`
+/// checker catches four injected protocol mutations), `--full`
 /// (nightly-depth protocol bounds instead of the quick PR bounds),
 /// `--max-ranks N` (drop ring sizes above N from the bounds),
 /// `--replay SPEC` (re-execute one schedule string and exit).
@@ -1428,6 +1428,16 @@ mod tests {
 
     fn argmap(tokens: &[&str]) -> ArgMap {
         ArgMap::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    /// Held by every test that runs the bench suite, so two suites never
+    /// time their kernels while competing for the same cores.
+    static BENCH_SUITE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn bench_suite_lock() -> std::sync::MutexGuard<'static, ()> {
+        BENCH_SUITE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -2242,15 +2252,23 @@ mod tests {
 
     #[test]
     fn bench_writes_artifact_and_gates_on_baseline() {
+        // Two runs' wall-clock timings on a shared machine may differ by
+        // any factor, so the baseline plumbing is exercised on the
+        // suite's counted-work entries (`unit: "pairs"`), which repeat
+        // exactly. The gate arithmetic itself is pinned by
+        // `gnet_obs::bench`'s own tests.
+        use gnet_obs::bench;
+        let _suite = bench_suite_lock();
         let dir = tmpdir("bench");
         let artifact = dir.join("BENCH_7.json");
+        let baseline = dir.join("BENCH_7.base.json");
         let candidate = dir.join("BENCH_7.cand.json");
         let mut out = Vec::new();
         cmd_bench(
             &argmap(&[
                 "--quick",
                 "--reps",
-                "2",
+                "1",
                 "--out",
                 artifact.to_str().unwrap(),
             ]),
@@ -2260,30 +2278,67 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("kernel.vector"), "{text}");
         assert!(text.contains("ring.4"), "{text}");
-        assert!(artifact.exists());
+        let run = bench::parse_suite(&std::fs::read_to_string(&artifact).unwrap()).unwrap();
+        let counted: Vec<bench::BenchEntry> = run
+            .entries
+            .into_iter()
+            .filter(|e| e.unit == "pairs")
+            .collect();
+        assert!(!counted.is_empty(), "the suite has counted-work entries");
+        let write_baseline = |entries: Vec<bench::BenchEntry>| {
+            let suite = bench::BenchSuite {
+                quick: true,
+                entries,
+            };
+            std::fs::write(&baseline, bench::to_json(&suite)).unwrap();
+        };
+        let gate = || {
+            let mut out = Vec::new();
+            let res = cmd_bench(
+                &argmap(&[
+                    "--quick",
+                    "--reps",
+                    "1",
+                    "--out",
+                    candidate.to_str().unwrap(),
+                    "--baseline",
+                    baseline.to_str().unwrap(),
+                ]),
+                &mut out,
+            );
+            (res, String::from_utf8(out).unwrap())
+        };
 
-        // Unchanged tree vs its own baseline: the gate passes.
-        let mut out = Vec::new();
-        cmd_bench(
-            &argmap(&[
-                "--quick",
-                "--reps",
-                "2",
-                "--out",
-                candidate.to_str().unwrap(),
-                "--baseline",
-                artifact.to_str().unwrap(),
-            ]),
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        // The same work as the baseline: the gate passes.
+        write_baseline(counted.clone());
+        let (res, text) = gate();
+        res.unwrap();
         assert!(text.contains("no significant regressions"), "{text}");
+
+        // A baseline recording half the work: the gate trips on it.
+        write_baseline(
+            counted
+                .into_iter()
+                .map(|mut e| {
+                    e.values_us.iter_mut().for_each(|v| *v /= 2.0);
+                    e.min_us /= 2.0;
+                    e.median_us /= 2.0;
+                    e
+                })
+                .collect(),
+        );
+        let (res, text) = gate();
+        assert!(res.unwrap_err().0.contains("regression"), "{text}");
+        assert!(
+            text.contains("REGRESSION update.gene_append.pairs"),
+            "{text}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn bench_gate_trips_on_injected_vector_slowdown() {
+        let _suite = bench_suite_lock();
         let dir = tmpdir("bench_slow");
         let artifact = dir.join("BENCH_7.json");
         let candidate = dir.join("BENCH_7.cand.json");
@@ -2330,6 +2385,7 @@ mod tests {
 
     #[test]
     fn bench_rejects_mode_mismatched_baseline() {
+        let _suite = bench_suite_lock();
         let dir = tmpdir("bench_mode");
         let baseline = dir.join("full.json");
         // A minimal *full* baseline; the candidate runs --quick.

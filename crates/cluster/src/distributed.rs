@@ -5,12 +5,17 @@
 //! own block (rank transform + B-spline weights) and computes the pairs
 //! *within* it; the cross-block pairs are covered by rotating blocks
 //! around a ring for `⌊P/2⌋` rounds — after round `d` rank `r` holds
-//! block `(r − d) mod P`, and each unordered block pair has exactly one
-//! *owner* (the rank that meets the partner block in the earlier round,
-//! ties to the lower rank), so every gene pair is computed exactly once
-//! across the cluster. Pooled-null moments and candidate edges are then
-//! collected on rank 0, which applies the global threshold — the same
-//! statistics, in the same arithmetic, as the shared-memory pipeline.
+//! block `(r − d) mod P`. The work is cut into [`WorkUnit`]s, each with
+//! exactly one *owner* ([`crate::protocol::unit_owner`]): a block pair
+//! belongs to the rank that meets the partner block in the earlier
+//! round, except that an antipodal pair of an even ring — met by both
+//! of its ranks in round `P/2` — is split by the higher block's genes,
+//! the lower rank taking the first half and the higher rank the rest.
+//! Every gene pair is computed exactly once across the cluster, and
+//! every rank computes the same number of them (up to uneven block
+//! sizes). Pooled-null moments and candidate edges are then collected
+//! on rank 0, which applies the global threshold — the same statistics
+//! as the shared-memory pipeline.
 //!
 //! This is the structure of the original TINGe MPI implementation (the
 //! cluster baseline the paper compares against), realized over the
@@ -30,9 +35,10 @@
 //!   detection latency and the ring stays whole downstream.
 //! * **Census + redistribution.** Rank 0 collects per-rank results with
 //!   bounded receives; ranks that never report are presumed dead. All
-//!   block pairs owned by dead ranks are redistributed round-robin over
-//!   the survivors (rank 0 included), recomputed from scratch in the
-//!   same canonical orientation, and merged as *supplements*. A rank
+//!   work units owned by dead ranks — a dead rank's half of an antipodal
+//!   pair alone — are redistributed round-robin over the survivors
+//!   (rank 0 included), recomputed from scratch in the same canonical
+//!   orientation, and merged as *supplements*. A rank
 //!   falsely presumed dead (its results frame was dropped) receives an
 //!   empty assignment and terminates; a survivor whose supplement never
 //!   arrives has its share recomputed by rank 0 — the ultimate backstop.
@@ -42,15 +48,14 @@
 //!
 //! In a fault-free run the recovery protocol is pure bookkeeping: every
 //! assignment is empty, merging empty supplements is an exact no-op, and
-//! results merge in rank order — so the output is bit-identical to the
-//! historical gather-based implementation.
+//! results merge in rank order.
 
 use crate::codec::{decode_block, encode_block, GeneBlock};
 use crate::comm::{run_ranks_on, Fabric, RecvTimeoutError};
 use crate::live::{live_mark_dead, live_tick, BeatState, LiveDuty, TelemetryPlane};
 use crate::protocol::{
-    block_range, Effect, Event as ProtoEvent, Frame as ProtoFrame, Mutation, Phase, RankMachine,
-    Wait,
+    block_range, Effect, Event as ProtoEvent, Frame as ProtoFrame, Half, Mutation, Phase,
+    RankMachine, Wait, WorkUnit,
 };
 use crate::transport::Transport;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -146,7 +151,8 @@ pub struct RankStats {
     pub rank: usize,
     /// Gene pairs this rank evaluated.
     pub pairs: u64,
-    /// Block pairs (incl. its diagonal block) this rank owned.
+    /// Work units (block pairs or antipodal halves, incl. its diagonal
+    /// block) this rank computed.
     pub block_pairs: usize,
     /// Messages this rank sent.
     pub messages: u64,
@@ -156,7 +162,7 @@ pub struct RankStats {
     pub busy: Duration,
     /// True when an injected fault killed this rank mid-run.
     pub crashed: bool,
-    /// Block pairs recomputed by this rank on behalf of dead ranks.
+    /// Work units recomputed by this rank on behalf of dead ranks.
     pub reassigned_block_pairs: usize,
     /// This rank's trace-clock offset relative to rank 0 (µs): subtract
     /// it from a local trace timestamp to land on rank 0's timebase.
@@ -666,6 +672,36 @@ fn block_identity(from: usize, rd: u32, p: usize) -> usize {
     (from + p - back) % p
 }
 
+/// What a blocked receive does while it waits: run the callback every
+/// slice. Ranks with a live telemetry plane use it to keep beating (and
+/// rank 0 to keep folding the beats it receives) while blocked on a
+/// peer, so waiting is never mistaken for silence.
+type Idle<'a> = Option<(Duration, &'a mut dyn FnMut())>;
+
+/// `tp.recv_timeout(from, timeout)`, cut into `idle`'s slices with its
+/// callback run between them; the total wait is unchanged.
+fn recv_idling(
+    tp: &dyn Transport,
+    from: usize,
+    timeout: Duration,
+    idle: &mut Idle<'_>,
+) -> Result<Bytes, RecvTimeoutError> {
+    let Some((slice, on_idle)) = idle else {
+        return tp.recv_timeout(from, timeout);
+    };
+    let deadline = Instant::now() + timeout;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left <= *slice {
+            return tp.recv_timeout(from, left);
+        }
+        match tp.recv_timeout(from, *slice) {
+            Err(RecvTimeoutError::Timeout) => on_idle(),
+            other => return other,
+        }
+    }
+}
+
 /// Receive one frame from `from` and translate it into a protocol
 /// event. Delayed clock stamps are consumed here (harmless at any
 /// protocol point); everything else — including stale ring blocks,
@@ -673,10 +709,12 @@ fn block_identity(from: usize, rd: u32, p: usize) -> usize {
 /// the machine. Failures (timeout, disconnect, unparseable frame)
 /// become [`ProtoEvent::Timeout`] with `fail_reason` set for the
 /// recovery trace events.
+#[allow(clippy::too_many_arguments)]
 fn recv_event(
     tp: &dyn Transport,
     from: usize,
     timeout: Duration,
+    mut idle: Idle<'_>,
     in_ring: bool,
     block_payload: &mut Option<Bytes>,
     pending_payload: &mut Option<Bytes>,
@@ -688,7 +726,7 @@ fn recv_event(
         "unexpected frame"
     };
     loop {
-        return match tp.recv_timeout(from, timeout) {
+        return match recv_idling(tp, from, timeout, &mut idle) {
             Ok(raw) => match parse_frame(raw) {
                 Some((TAG_CLOCK, _, _)) => continue, // delayed clock stamp: harmless
                 // Defensive only: transports divert TELEM frames before
@@ -708,12 +746,16 @@ fn recv_event(
                     *fail_reason = unexpected;
                     ProtoEvent::Frame(ProtoFrame::Results)
                 }
-                Some((TAG_ASSIGN, _, payload)) => {
-                    *fail_reason = unexpected;
-                    ProtoEvent::Frame(ProtoFrame::Assign {
-                        pairs: decode_assignment(&payload),
-                    })
-                }
+                Some((TAG_ASSIGN, _, payload)) => match decode_assignment(payload, tp.size()) {
+                    Ok(units) => {
+                        *fail_reason = unexpected;
+                        ProtoEvent::Frame(ProtoFrame::Assign { units })
+                    }
+                    Err(reason) => {
+                        *fail_reason = reason;
+                        ProtoEvent::Timeout
+                    }
+                },
                 Some((TAG_SUPPLEMENT, _, payload)) => {
                     *pending_payload = Some(payload);
                     *fail_reason = unexpected;
@@ -1014,9 +1056,9 @@ pub(crate) fn rank_main(
                 }
                 Effect::Send {
                     to,
-                    frame: ProtoFrame::Assign { pairs },
+                    frame: ProtoFrame::Assign { units },
                 } => {
-                    tp.send(to, frame(TAG_ASSIGN, 0, &encode_assignment(&pairs)));
+                    tp.send(to, frame(TAG_ASSIGN, 0, &encode_assignment(&units)));
                 }
                 Effect::Send {
                     to,
@@ -1059,7 +1101,7 @@ pub(crate) fn rank_main(
                         &[("rank", Value::from(r)), ("block", Value::from(block))],
                     );
                 }
-                Effect::ComputeCross { block } => {
+                Effect::ComputeCross { block, half } => {
                     let t = Instant::now();
                     let own_ref = own.as_ref().expect("own block is live in the ring");
                     let foreign = match rebuilt.take() {
@@ -1087,6 +1129,7 @@ pub(crate) fn rank_main(
                     // but the permutation null I(x, π(y)) is a
                     // *different draw* under role swap, so orientation
                     // must match for bit-identical candidate decisions.
+                    // The half selects the higher block's genes.
                     let (lo, hi) = if foreign.indices[0] < own_ref.indices[0] {
                         (&foreign, own_ref)
                     } else {
@@ -1094,7 +1137,7 @@ pub(crate) fn rank_main(
                     };
                     compute_block_pair(
                         lo,
-                        Some(hi),
+                        Some((hi, half)),
                         config.kernel,
                         &perms,
                         &mut scratch,
@@ -1128,66 +1171,43 @@ pub(crate) fn rank_main(
                 }
                 Effect::Redistributed {
                     dead_ranks,
-                    block_pairs,
+                    units,
                     survivors,
                 } => {
-                    rec.counter_add(names::CNT_PAIRS_REASSIGNED, block_pairs as u64);
+                    rec.counter_add(names::CNT_PAIRS_REASSIGNED, units as u64);
                     rec.event(
                         names::EVT_REDISTRIBUTED,
                         &[
                             ("dead_ranks", Value::from(dead_ranks)),
-                            ("block_pairs", Value::from(block_pairs)),
+                            ("units", Value::from(units)),
                             ("survivors", Value::from(survivors)),
                         ],
                     );
                 }
-                Effect::ComputeAssigned { pairs } => {
+                Effect::ComputeAssigned { units } => {
                     let t = Instant::now();
                     if let Some(own_block) = own.take() {
                         cache.insert(r, own_block);
                     }
+                    let share = compute_assigned(
+                        &units,
+                        matrix,
+                        &basis,
+                        n,
+                        p,
+                        &mut cache,
+                        config.kernel,
+                        &perms,
+                        &mut scratch,
+                        &mut stats.pairs,
+                    );
                     if r == 0 {
-                        let mut sp = PooledNull::new();
-                        let mut sc = Vec::new();
-                        for &(a, b) in &pairs {
-                            compute_assigned_pair(
-                                a,
-                                b,
-                                matrix,
-                                &basis,
-                                n,
-                                p,
-                                &mut cache,
-                                config.kernel,
-                                &perms,
-                                &mut scratch,
-                                &mut sp,
-                                &mut sc,
-                                &mut stats.pairs,
-                            );
-                        }
-                        supplements[0] = Some((sp, sc));
+                        supplements[0] = Some(share);
                     } else {
-                        for &(a, b) in &pairs {
-                            compute_assigned_pair(
-                                a,
-                                b,
-                                matrix,
-                                &basis,
-                                n,
-                                p,
-                                &mut cache,
-                                config.kernel,
-                                &perms,
-                                &mut scratch,
-                                &mut sup_pooled,
-                                &mut sup_candidates,
-                                &mut stats.pairs,
-                            );
-                        }
+                        (sup_pooled, sup_candidates) = share;
                     }
-                    stats.reassigned_block_pairs += pairs.len();
-                    stats.block_pairs += pairs.len();
+                    stats.reassigned_block_pairs += units.len();
+                    stats.block_pairs += units.len();
                     busy += t.elapsed();
                 }
                 Effect::AcceptSupplement { from } => {
@@ -1198,7 +1218,7 @@ pub(crate) fn rank_main(
                     );
                     supplements[from] = Some((sp, sc));
                 }
-                Effect::RecomputeShare { from, pairs } => {
+                Effect::RecomputeShare { from, units } => {
                     // Survivor went silent after the census — recompute
                     // its share locally so the result never depends on
                     // it.
@@ -1207,28 +1227,20 @@ pub(crate) fn rank_main(
                     if let Some(own_block) = own.take() {
                         cache.insert(r, own_block);
                     }
-                    let mut sp = PooledNull::new();
-                    let mut sc = Vec::new();
-                    for &(a, b) in &pairs {
-                        compute_assigned_pair(
-                            a,
-                            b,
-                            matrix,
-                            &basis,
-                            n,
-                            p,
-                            &mut cache,
-                            config.kernel,
-                            &perms,
-                            &mut scratch,
-                            &mut sp,
-                            &mut sc,
-                            &mut stats.pairs,
-                        );
-                    }
-                    supplements[from] = Some((sp, sc));
-                    stats.reassigned_block_pairs += pairs.len();
-                    stats.block_pairs += pairs.len();
+                    supplements[from] = Some(compute_assigned(
+                        &units,
+                        matrix,
+                        &basis,
+                        n,
+                        p,
+                        &mut cache,
+                        config.kernel,
+                        &perms,
+                        &mut scratch,
+                        &mut stats.pairs,
+                    ));
+                    stats.reassigned_block_pairs += units.len();
+                    stats.block_pairs += units.len();
                     busy += t.elapsed();
                 }
                 Effect::Finalize { dead } => {
@@ -1292,15 +1304,24 @@ pub(crate) fn rank_main(
                     block: block_identity(prev, lr, p),
                 })
             }
-            None => recv_event(
-                tp,
-                from,
-                peer_timeout,
-                in_ring,
-                &mut block_payload,
-                &mut pending_payload,
-                &mut fail_reason,
-            ),
+            None => {
+                let (round, pairs) = (cur_round as u32, stats.pairs);
+                let mut beat_while_waiting = || {
+                    if let (Some(duty), Some(b)) = (live, beat.as_mut()) {
+                        live_tick(duty, b, tp, round, false, pairs);
+                    }
+                };
+                recv_event(
+                    tp,
+                    from,
+                    peer_timeout,
+                    live.map(|d| (d.interval, &mut beat_while_waiting as &mut dyn FnMut())),
+                    in_ring,
+                    &mut block_payload,
+                    &mut pending_payload,
+                    &mut fail_reason,
+                )
+            }
         };
         let stepped = machine.step(event);
         fx = stepped.0;
@@ -1346,14 +1367,14 @@ pub(crate) fn rank_main(
     }
 }
 
-/// Recompute one reassigned block pair `{a, b}` from the shared matrix,
-/// in the same canonical orientation as the original owner would have
-/// used (lower block index on the x side) — so the recomputed null draws
-/// and candidate decisions are identical to the lost ones.
+/// Recompute reassigned work units from the shared matrix into a fresh
+/// share, each in the same canonical orientation (lower block on the x
+/// side) and over the same half of the higher block as its original
+/// owner — so the recomputed null draws and candidate decisions are
+/// identical to the lost ones.
 #[allow(clippy::too_many_arguments)]
-fn compute_assigned_pair(
-    a: usize,
-    b: usize,
+fn compute_assigned(
+    units: &[WorkUnit],
     matrix: &ExpressionMatrix,
     basis: &BsplineBasis,
     n: usize,
@@ -1362,51 +1383,39 @@ fn compute_assigned_pair(
     kernel: MiKernel,
     perms: &PermutationSet,
     scratch: &mut MiScratch,
-    pooled: &mut PooledNull,
-    candidates: &mut Vec<(u32, u32, f64)>,
     pair_counter: &mut u64,
-) {
-    let (lo, hi) = (a.min(b), a.max(b));
-    for idx in [lo, hi] {
-        cache
-            .entry(idx)
-            .or_insert_with(|| build_block(matrix, basis, n, p, idx));
-    }
-    let x = cache.get(&lo).expect("block cached just above");
-    if lo == hi {
+) -> Share {
+    let mut pooled = PooledNull::new();
+    let mut candidates = Vec::new();
+    for &unit in units {
+        for idx in [unit.lo, unit.hi] {
+            cache
+                .entry(idx)
+                .or_insert_with(|| build_block(matrix, basis, n, p, idx));
+        }
+        let y_side = (unit.lo != unit.hi).then(|| (&cache[&unit.hi], unit.half));
         compute_block_pair(
-            x,
-            None,
+            &cache[&unit.lo],
+            y_side,
             kernel,
             perms,
             scratch,
-            pooled,
-            candidates,
-            pair_counter,
-        );
-    } else {
-        let y = cache.get(&hi).expect("block cached just above");
-        compute_block_pair(
-            x,
-            Some(y),
-            kernel,
-            perms,
-            scratch,
-            pooled,
-            candidates,
+            &mut pooled,
+            &mut candidates,
             pair_counter,
         );
     }
+    (pooled, candidates)
 }
 
-/// Evaluate all pairs between `x_block` and `y_block` (or within
-/// `x_block` when `y_block` is `None`), accumulating nulls and
-/// candidates. Dense expansions of the column side are built once per
-/// block — the cluster-side analogue of tile reuse.
+/// Evaluate all pairs between `x_block` and the `half` of the y block's
+/// genes (or within `x_block` when `y_side` is `None`), accumulating
+/// nulls and candidates. Dense expansions of the y genes are built once
+/// per call — the cluster-side analogue of tile reuse.
 #[allow(clippy::too_many_arguments)]
 fn compute_block_pair(
     x_block: &GeneBlock,
-    y_block: Option<&GeneBlock>,
+    y_side: Option<(&GeneBlock, Half)>,
     kernel: MiKernel,
     perms: &PermutationSet,
     scratch: &mut MiScratch,
@@ -1414,19 +1423,25 @@ fn compute_block_pair(
     candidates: &mut Vec<(u32, u32, f64)>,
     pair_counter: &mut u64,
 ) {
-    let y = y_block.unwrap_or(x_block);
-    let dense: Vec<_> = match kernel {
-        MiKernel::VectorDense => y.genes.iter().map(|g| Some(g.to_dense())).collect(),
-        MiKernel::ScalarSparse => y.genes.iter().map(|_| None).collect(),
+    let (y, (y_start, y_end)) = match y_side {
+        Some((block, half)) => (block, half.range(block.genes.len())),
+        None => (x_block, (0, x_block.genes.len())),
     };
+    let dense: Vec<_> = y.genes[y_start..y_end]
+        .iter()
+        .map(|g| match kernel {
+            MiKernel::VectorDense => Some(g.to_dense()),
+            MiKernel::ScalarSparse => None,
+        })
+        .collect();
     for (xi, xg) in x_block.genes.iter().enumerate() {
-        let y_start = if y_block.is_none() { xi + 1 } else { 0 };
-        for (yi, dy) in dense.iter().enumerate().skip(y_start) {
+        let first = if y_side.is_none() { xi + 1 } else { y_start };
+        for yi in first..y_end {
             let res = mi_with_nulls(
                 kernel,
                 xg,
                 &y.genes[yi],
-                dy.as_ref(),
+                dense[yi - y_start].as_ref(),
                 perms.as_vecs(),
                 scratch,
             );
@@ -1442,23 +1457,45 @@ fn compute_block_pair(
     }
 }
 
-fn encode_assignment(pairs: &[(usize, usize)]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + pairs.len() * 8);
-    buf.put_u32_le(pairs.len() as u32);
-    for &(a, b) in pairs {
-        buf.put_u32_le(a as u32);
-        buf.put_u32_le(b as u32);
+/// Bytes per encoded work unit: `lo` and `hi` as `u32` LE, then the
+/// [`Half::code`] byte.
+const UNIT_BYTES: usize = 9;
+
+fn encode_assignment(units: &[WorkUnit]) -> Bytes {
+    let mut buf = BytesMut::with_capacity(4 + units.len() * UNIT_BYTES);
+    buf.put_u32_le(units.len() as u32);
+    for unit in units {
+        buf.put_u32_le(unit.lo as u32);
+        buf.put_u32_le(unit.hi as u32);
+        buf.put_u8(unit.half.code());
     }
     buf.freeze()
 }
 
-fn decode_assignment(bytes: &Bytes) -> Vec<(usize, usize)> {
-    let mut bytes = bytes.clone();
-    assert!(bytes.remaining() >= 4, "assignment frame too short");
-    let c = bytes.get_u32_le() as usize;
-    assert_eq!(bytes.remaining(), c * 8, "assignment frame length mismatch");
-    (0..c)
-        .map(|_| (bytes.get_u32_le() as usize, bytes.get_u32_le() as usize))
+/// Decode an assignment frame for a `p`-rank ring. A malformed frame —
+/// wrong length, an unknown half byte, or a unit that is not one of the
+/// ring's work units — is an error naming the defect, never a panic:
+/// the receiver treats it like a lost frame.
+fn decode_assignment(mut bytes: Bytes, p: usize) -> Result<Vec<WorkUnit>, &'static str> {
+    if bytes.remaining() < 4 {
+        return Err("assignment frame too short");
+    }
+    let count = bytes.get_u32_le() as usize;
+    if bytes.remaining() != count.saturating_mul(UNIT_BYTES) {
+        return Err("assignment frame length mismatch");
+    }
+    (0..count)
+        .map(|_| {
+            let lo = bytes.get_u32_le() as usize;
+            let hi = bytes.get_u32_le() as usize;
+            let half = Half::from_code(bytes.get_u8()).ok_or("assignment names an invalid half")?;
+            let unit = WorkUnit { lo, hi, half };
+            if unit.is_unit_of(p) {
+                Ok(unit)
+            } else {
+                Err("assignment names a unit outside the ring")
+            }
+        })
         .collect()
 }
 
@@ -1499,7 +1536,8 @@ fn decode_rank_results(mut bytes: Bytes) -> (PooledNull, Vec<(u32, u32, f64)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::block_pair_owner;
+    use crate::comm::Endpoint;
+    use crate::protocol::{redistribute, unit_owner, work_units};
     use gnet_core::infer_network;
     use gnet_expr::synth::{coupled_pairs, Coupling};
     use gnet_fault::FaultPlan;
@@ -1530,45 +1568,65 @@ mod tests {
         }
     }
 
+    /// The gene pairs `(i, j)`, `i < j`, a work unit covers among `n`
+    /// genes on `p` ranks.
+    fn unit_gene_pairs(unit: WorkUnit, n: usize, p: usize) -> Vec<(usize, usize)> {
+        let (xs, xe) = block_range(n, p, unit.lo);
+        if unit.lo == unit.hi {
+            return (xs..xe)
+                .flat_map(|i| (i + 1..xe).map(move |j| (i, j)))
+                .collect();
+        }
+        let (ys, ye) = block_range(n, p, unit.hi);
+        let (hs, he) = unit.half.range(ye - ys);
+        (xs..xe)
+            .flat_map(|i| (ys + hs..ys + he).map(move |j| (i, j)))
+            .collect()
+    }
+
     #[test]
-    fn every_block_pair_has_exactly_one_owner() {
-        for p in 1..=9 {
-            for a in 0..p {
-                for b in 0..p {
-                    let owner = block_pair_owner(a, b, p);
-                    assert!(owner == a || owner == b, "owner must be a member");
-                    assert_eq!(
-                        owner,
-                        block_pair_owner(b, a, p),
-                        "ownership must be order-independent"
-                    );
-                    if a != b {
-                        // The owner must actually meet the partner block
-                        // within ⌊P/2⌋ ring rounds.
-                        let partner = if owner == a { b } else { a };
-                        let round = (owner + p - partner) % p;
-                        assert!(
-                            round >= 1 && round <= p / 2,
-                            "p={p} pair ({a},{b}): owner {owner} meets partner at round {round}"
-                        );
+    fn work_units_cover_every_gene_pair_once_with_equal_load() {
+        for p in 1..=8usize {
+            for n in [p, 2 * p + 1, 97, 300] {
+                let mut seen = vec![0u8; n * n];
+                let mut load = vec![0usize; p];
+                for unit in work_units(p) {
+                    let owner = unit_owner(unit, p);
+                    for (i, j) in unit_gene_pairs(unit, n, p) {
+                        assert!(i < j, "p={p} n={n} {unit}: ({i},{j})");
+                        seen[i * n + j] += 1;
+                        load[owner] += 1;
                     }
                 }
+                for i in 0..n {
+                    for j in i + 1..n {
+                        assert_eq!(seen[i * n + j], 1, "p={p} n={n}: pair ({i},{j})");
+                    }
+                }
+                // Equal even blocks give equal loads; an odd block
+                // splits one gene off-centre, and a block one gene
+                // larger than another adds at most that gene's pairs.
+                let skew = load.iter().max().unwrap() - load.iter().min().unwrap();
+                let bound = match (n % p, n / p % 2, p % 2) {
+                    (0, 1, 0) => n / p,
+                    (0, _, _) => 0,
+                    _ => n,
+                };
+                assert!(skew <= bound, "p={p} n={n}: gene-pair loads {load:?}");
             }
         }
     }
 
     #[test]
-    fn owner_load_is_balanced() {
-        let p = 8;
-        let mut owned = vec![0usize; p];
-        for a in 0..p {
-            for b in a..p {
-                owned[block_pair_owner(a, b, p)] += 1;
-            }
-        }
-        let max = *owned.iter().max().unwrap();
-        let min = *owned.iter().min().unwrap();
-        assert!(max - min <= 1, "block-pair ownership skewed: {owned:?}");
+    fn two_rank_ring_computes_equal_gene_pairs_per_rank() {
+        let (matrix, _) = coupled_pairs(150, 40, Coupling::Linear(0.8), 13);
+        let config = InferenceConfig {
+            permutations: 2,
+            ..cfg()
+        };
+        let dist = infer_network_distributed(&matrix, &config, 2);
+        let pairs: Vec<u64> = dist.rank_stats.iter().map(|s| s.pairs).collect();
+        assert_eq!(pairs, vec![22_425, 22_425]);
     }
 
     #[test]
@@ -1705,6 +1763,7 @@ mod tests {
                 &ep,
                 0,
                 timeout,
+                None,
                 true,
                 &mut block_payload,
                 &mut pending_payload,
@@ -1722,6 +1781,7 @@ mod tests {
                 &ep,
                 0,
                 timeout,
+                None,
                 true,
                 &mut block_payload,
                 &mut pending_payload,
@@ -1814,6 +1874,220 @@ mod tests {
         assert_eq!(dist.crashed_ranks, vec![5]);
         assert_eq!(edge_keys(&dist.network), edge_keys(&baseline.network));
         assert!(rec.event_count(names::EVT_RING_HEALED) >= 1);
+    }
+
+    /// Forwards to a channel endpoint and records every frame sent.
+    struct Tap {
+        inner: Endpoint,
+        sent: std::sync::Mutex<Vec<(usize, Bytes)>>,
+    }
+
+    impl Transport for Tap {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+
+        fn send(&self, to: usize, payload: Bytes) {
+            self.sent
+                .lock()
+                .expect("tap lock")
+                .push((to, payload.clone()));
+            self.inner.send(to, payload);
+        }
+
+        fn recv_timeout(&self, from: usize, timeout: Duration) -> Result<Bytes, RecvTimeoutError> {
+            self.inner.recv_timeout(from, timeout)
+        }
+
+        fn faults(&self) -> &FaultInjector {
+            self.inner.faults()
+        }
+
+        fn messages_sent(&self) -> u64 {
+            Transport::messages_sent(&self.inner)
+        }
+
+        fn bytes_sent(&self) -> u64 {
+            Transport::bytes_sent(&self.inner)
+        }
+    }
+
+    /// The `Assign` frames one rank sent: destination and work units.
+    type AssignLog = Vec<(usize, Vec<WorkUnit>)>;
+
+    /// A channel-fabric run under `plan` that also returns, per rank,
+    /// the work units of every `Assign` frame that rank sent.
+    fn run_tapped(
+        matrix: &ExpressionMatrix,
+        ranks: usize,
+        plan: &str,
+    ) -> (DistributedResult, Vec<AssignLog>) {
+        let faults = FaultInjector::from_plan(&FaultPlan::parse(plan).expect("test plan parses"));
+        let outputs = run_ranks_on(Fabric::with_faults(ranks, faults), |ep| {
+            let tap = Tap {
+                inner: ep,
+                sent: std::sync::Mutex::new(Vec::new()),
+            };
+            let out = rank_main(
+                &tap,
+                matrix,
+                &cfg(),
+                matrix.genes(),
+                &Recorder::disabled(),
+                &Recorder::disabled(),
+                faulty_timeout(),
+                None,
+            );
+            let assigns: AssignLog = tap
+                .sent
+                .into_inner()
+                .expect("tap lock")
+                .into_iter()
+                .filter_map(|(to, raw)| match parse_frame(raw) {
+                    Some((TAG_ASSIGN, _, payload)) => Some((
+                        to,
+                        decode_assignment(payload, ranks).expect("sent assignments decode"),
+                    )),
+                    _ => None,
+                })
+                .collect();
+            // Returning drops the endpoint: the death signal survivors see.
+            (out, assigns)
+        });
+        let (outs, assigns): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
+        let result = assemble_result(outs, None, None).expect("untraced assembly");
+        (result, assigns)
+    }
+
+    fn edge_file(net: &GeneNetwork) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        gnet_graph::io::write_edge_list(net, &mut bytes).expect("edge list writes to memory");
+        bytes
+    }
+
+    /// Kill `dead`, the higher rank of an antipodal pair, before it
+    /// sends anything: the edge file must match the fault-free run byte
+    /// for byte, and exactly the dead rank's work units — its half of
+    /// the antipodal pair included, still a half — must be reassigned.
+    fn antipodal_crash_recovers(ranks: usize, dead: usize) {
+        let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 42);
+        let baseline = infer_network_distributed(&matrix, &cfg(), ranks);
+        let plan = format!("seed=7;crash(rank={dead},round=1)");
+        let (dist, assigns) = run_tapped(&matrix, ranks, &plan);
+        assert_eq!(dist.crashed_ranks, vec![dead]);
+        assert_eq!(edge_file(&dist.network), edge_file(&baseline.network));
+
+        let mut owned: Vec<WorkUnit> = work_units(ranks)
+            .into_iter()
+            .filter(|&u| unit_owner(u, ranks) == dead)
+            .collect();
+        assert!(owned.iter().any(|u| u.half == Half::Second), "{owned:?}");
+        let expected = redistribute(ranks, &[dead]);
+        let mut reassigned = expected.concat();
+        reassigned.sort_unstable();
+        owned.sort_unstable();
+        assert_eq!(reassigned, owned, "exactly the dead rank's units move");
+        // Rank 0 sends every other rank its list on the wire, halves
+        // intact; its own list it computes in place.
+        let sent: AssignLog = (1..ranks).map(|r| (r, expected[r].clone())).collect();
+        assert_eq!(assigns[0], sent);
+        if ranks > 2 {
+            let on_wire = sent.iter().flat_map(|(_, units)| units);
+            assert!(
+                on_wire.into_iter().any(|u| u.half == Half::Second),
+                "{sent:?}"
+            );
+        }
+        for s in &dist.rank_stats {
+            if s.rank != dead {
+                assert_eq!(
+                    s.reassigned_block_pairs,
+                    expected[s.rank].len(),
+                    "rank {}",
+                    s.rank
+                );
+            }
+        }
+        // Gene-pair coverage: the survivors recompute exactly the dead
+        // rank's pairs (a half stays a half), plus nothing else.
+        let n = matrix.genes();
+        let total: u64 = dist.rank_stats.iter().map(|s| s.pairs).sum();
+        let wasted = dist.rank_stats[dead].pairs;
+        assert_eq!(total, (n * (n - 1) / 2) as u64 + wasted);
+    }
+
+    #[test]
+    fn crash_of_the_higher_antipodal_rank_of_two_reassigns_its_half() {
+        antipodal_crash_recovers(2, 1);
+    }
+
+    #[test]
+    fn crash_of_the_higher_antipodal_rank_of_four_reassigns_its_half() {
+        antipodal_crash_recovers(4, 2);
+    }
+
+    #[test]
+    fn assignment_codec_keeps_halves_and_rejects_malformed_frames() {
+        let units = redistribute(4, &[2]).concat();
+        let bytes = encode_assignment(&units);
+        assert_eq!(decode_assignment(bytes.clone(), 4), Ok(units));
+        let mut raw = bytes.to_vec();
+        raw[4 + 8] = 7; // first unit's half byte
+        assert_eq!(
+            decode_assignment(Bytes::from(raw.clone()), 4),
+            Err("assignment names an invalid half")
+        );
+        raw.pop();
+        assert_eq!(
+            decode_assignment(Bytes::from(raw), 4),
+            Err("assignment frame length mismatch")
+        );
+        assert_eq!(
+            decode_assignment(Bytes::from_static(&[1, 0]), 4),
+            Err("assignment frame too short")
+        );
+        assert_eq!(
+            decode_assignment(Bytes::from_static(&[0xff, 0xff, 0xff, 0xff]), 4),
+            Err("assignment frame length mismatch")
+        );
+        // A whole antipodal pair, a half of a pair that is not split,
+        // and a block past the ring are not units of a 4-rank ring.
+        for unit in [
+            WorkUnit::new(0, 2, Half::Whole),
+            WorkUnit::new(0, 1, Half::First),
+            WorkUnit::new(0, 4, Half::Whole),
+        ] {
+            assert_eq!(
+                decode_assignment(encode_assignment(&[unit]), 4),
+                Err("assignment names a unit outside the ring"),
+                "{unit}"
+            );
+        }
+        // On the wire, a malformed assignment is a lost frame, not a
+        // panic: the receiver times out and the coordinator's backstop
+        // recomputes the share.
+        let mut eps = Fabric::new(2).into_endpoints();
+        let (e1, e0) = (eps.pop().expect("rank 1"), eps.pop().expect("rank 0"));
+        let mut bad = encode_assignment(&[WorkUnit::new(0, 1, Half::First)]).to_vec();
+        bad[12] = 9;
+        e0.send(1, frame(TAG_ASSIGN, 0, &bad));
+        let (mut block_payload, mut pending_payload, mut reason) = (None, None, "");
+        let ev = recv_event(
+            &e1,
+            0,
+            Duration::from_secs(5),
+            None,
+            false,
+            &mut block_payload,
+            &mut pending_payload,
+            &mut reason,
+        );
+        assert_eq!(ev, ProtoEvent::Timeout);
+        assert_eq!(reason, "assignment names an invalid half");
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! * [`codec`] — a compact wire format for blocks of prepared genes
 //!   (the sparse B-spline weight matrices TINGe ships between ranks);
 //! * [`distributed`] — the TINGe-style algorithm: genes block-distributed
-//!   over ranks, ring-pass of gene blocks so each unordered block pair is
-//!   computed by exactly one owner rank, mergeable pooled-null reduction
-//!   to rank 0, and a final gather of candidate edges.
+//!   over ranks, ring-pass of gene blocks so each work unit (a block
+//!   pair, or half of an antipodal one) is computed by exactly one owner
+//!   rank, mergeable pooled-null reduction to rank 0, and a final gather
+//!   of candidate edges.
 //!
 //! The distributed result is bit-identical in edge structure to the
 //! shared-memory pipeline (asserted in tests across rank counts), which
@@ -55,8 +56,8 @@ pub use distributed::{
 pub use live::{TelemetryPlane, TelemetrySpec};
 pub use process::{run_worker, serve_coordinator, WorkerReport};
 pub use protocol::{
-    block_pair_owner, block_range, redistribute, Effect, Event, Frame, Mutation, Phase,
-    RankMachine, Wait,
+    block_range, redistribute, unit_owner, work_units, Effect, Event, Frame, Half, Mutation, Phase,
+    RankMachine, Wait, WorkUnit,
 };
 pub use tcp::{run_ranks_tcp, RetryPolicy, TcpCounters, TcpTransport};
 pub use transport::Transport;

@@ -16,13 +16,20 @@
 //!
 //! A machine is always blocked on a [`Wait`]; [`RankMachine::step`]
 //! consumes one [`Event`] and returns the [`Effect`]s to perform plus
-//! the next wait. Frames carry *identities* (block index, assignment
-//! pairs), never payload bytes — the interpreter owns the bytes.
+//! the next wait. Frames carry *identities* (block index, assigned work
+//! units), never payload bytes — the interpreter owns the bytes.
 //!
-//! [`Mutation`] deliberately re-introduces three historical protocol
-//! bugs. Production always runs [`Mutation::None`]; the mutants exist
-//! so the model checker can prove, in its self-check, that it detects
-//! each class of bug with a shrunk, replayable schedule.
+//! The unit of work is a [`WorkUnit`]: a block pair, or — for the
+//! antipodal pairs of an even ring, which both of their ranks meet in
+//! the last round — half of one, so every rank computes the same number
+//! of gene pairs ([`unit_owner`]).
+//!
+//! [`Mutation`] deliberately re-introduces four protocol bugs.
+//! Production always runs [`Mutation::None`]; the mutants exist so the
+//! model checker can prove, in its self-check, that it detects each
+//! class of bug with a shrunk, replayable schedule.
+
+use std::fmt;
 
 /// Contiguous block bounds of rank `r` among `p` ranks over `n` genes.
 #[must_use]
@@ -34,51 +41,175 @@ pub fn block_range(n: usize, p: usize, r: usize) -> (usize, usize) {
     (start, start + len)
 }
 
-/// Owner of the unordered block pair `{a, b}` among `p` ranks: the rank
-/// that meets the partner block in the earlier ring round (ties to the
-/// smaller rank). For `a == b` the owner is `a`.
-#[must_use]
-pub fn block_pair_owner(a: usize, b: usize, p: usize) -> usize {
-    if a == b {
-        return a;
+/// Which of a block pair's y-side genes — the genes of the higher
+/// block, the dense side of the kernel — a [`WorkUnit`] covers. Only
+/// antipodal pairs ([`is_antipodal`]) are split; every other pair is
+/// one [`Half::Whole`] unit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Half {
+    /// All of the higher block's genes.
+    Whole,
+    /// The higher block's genes `[0, ⌈len/2⌉)`.
+    First,
+    /// The higher block's genes `[⌈len/2⌉, len)`.
+    Second,
+}
+
+impl Half {
+    /// The `[start, end)` positions of a `len`-gene block this half covers.
+    #[must_use]
+    pub fn range(self, len: usize) -> (usize, usize) {
+        let mid = len.div_ceil(2);
+        match self {
+            Self::Whole => (0, len),
+            Self::First => (0, mid),
+            Self::Second => (mid, len),
+        }
     }
-    let delta_b = (b + p - a) % p; // round at which b holds block a
-    let delta_a = (a + p - b) % p; // round at which a holds block b
-    match delta_b.cmp(&delta_a) {
-        std::cmp::Ordering::Less => b,
-        std::cmp::Ordering::Greater => a,
-        std::cmp::Ordering::Equal => a.min(b),
+
+    /// Wire byte of this half.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            Self::Whole => 0,
+            Self::First => 1,
+            Self::Second => 2,
+        }
+    }
+
+    /// Inverse of [`Half::code`]; `None` for any other byte.
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<Self> {
+        match code {
+            0 => Some(Self::Whole),
+            1 => Some(Self::First),
+            2 => Some(Self::Second),
+            _ => None,
+        }
     }
 }
 
-/// Redistribute every block pair owned by a rank in `dead`, round-robin
-/// over the survivors (rank 0 included) in lexicographic pair order —
-/// deterministic given the dead set. Returns one assignment list per
-/// rank; dead ranks get empty lists.
+/// One unit of ring work: the genes of block `lo` (the x side) against
+/// the `half` of block `hi`'s genes (the y side), `lo ≤ hi`. For
+/// `lo == hi` the unit is the pairs within the block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct WorkUnit {
+    /// Lower block index (x side).
+    pub lo: usize,
+    /// Higher block index (y side).
+    pub hi: usize,
+    /// Which of block `hi`'s genes the unit covers.
+    pub half: Half,
+}
+
+impl WorkUnit {
+    /// The unit `half` of the unordered block pair `{a, b}`.
+    #[must_use]
+    pub fn new(a: usize, b: usize, half: Half) -> Self {
+        Self {
+            lo: a.min(b),
+            hi: a.max(b),
+            half,
+        }
+    }
+
+    /// Whether this is one of [`work_units`]`(p)`: both blocks exist,
+    /// and the pair is split exactly when it is antipodal.
+    #[must_use]
+    pub fn is_unit_of(&self, p: usize) -> bool {
+        self.lo <= self.hi && self.hi < p && halves(self.lo, self.hi, p).contains(&self.half)
+    }
+}
+
+impl fmt::Display for WorkUnit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "({},{})", self.lo, self.hi)?;
+        match self.half {
+            Half::Whole => Ok(()),
+            Half::First => f.write_str("/first"),
+            Half::Second => f.write_str("/second"),
+        }
+    }
+}
+
+/// Whether blocks `a` and `b` are antipodal in a `p`-rank ring: `p` is
+/// even and each of the two ranks meets the other's block in the same
+/// (last) round, `p/2`.
 #[must_use]
-pub fn redistribute(p: usize, dead: &[usize]) -> Vec<Vec<(usize, usize)>> {
+pub fn is_antipodal(a: usize, b: usize, p: usize) -> bool {
+    a != b && p.is_multiple_of(2) && (a + p - b) % p == p / 2
+}
+
+/// The halves the block pair `{a, b}` is cut into.
+fn halves(a: usize, b: usize, p: usize) -> &'static [Half] {
+    if is_antipodal(a, b, p) {
+        &[Half::First, Half::Second]
+    } else {
+        &[Half::Whole]
+    }
+}
+
+/// Every work unit of a `p`-rank ring, in canonical (sorted) order:
+/// each unordered block pair whole, except antipodal pairs, which
+/// appear as their two halves.
+#[must_use]
+pub fn work_units(p: usize) -> Vec<WorkUnit> {
+    let mut units = Vec::with_capacity(p * (p + 1) / 2 + p / 2);
+    for a in 0..p {
+        for b in a..p {
+            units.extend(halves(a, b, p).iter().map(|&h| WorkUnit::new(a, b, h)));
+        }
+    }
+    units
+}
+
+/// Owner of a work unit among `p` ranks: a diagonal unit belongs to its
+/// block's rank; a whole cross pair to the rank that meets the partner
+/// block in the earlier ring round; an antipodal pair — met by both of
+/// its ranks in round `p/2` — gives its first half to the lower rank
+/// and its second half to the higher one, so every rank computes the
+/// same number of gene pairs.
+#[must_use]
+pub fn unit_owner(unit: WorkUnit, p: usize) -> usize {
+    let WorkUnit { lo, hi, half } = unit;
+    match half {
+        Half::First => lo,
+        Half::Second => hi,
+        // Rank `hi` holds block `lo` after `hi − lo` rounds; rank `lo`
+        // holds block `hi` after `p − (hi − lo)`.
+        Half::Whole if lo != hi && hi - lo < p - (hi - lo) => hi,
+        Half::Whole => lo,
+    }
+}
+
+/// Redistribute every work unit owned by a rank in `dead`, round-robin
+/// over the survivors in canonical unit order, starting with the first
+/// survivor after rank 0 (the coordinator also merges) — deterministic
+/// given the dead set. A dead rank's half of an antipodal pair moves
+/// alone; its partner's half stays where it was computed. Returns one
+/// assignment list per rank; dead ranks get empty lists.
+#[must_use]
+pub fn redistribute(p: usize, dead: &[usize]) -> Vec<Vec<WorkUnit>> {
     redistribute_mutated(p, dead, false)
 }
 
 /// [`redistribute`], optionally mutated ([`Mutation::DoubleRedistribute`])
-/// to hand each dead-owned pair to *two* survivors — the double-counting
+/// to hand each dead-owned unit to *two* survivors — the double-counting
 /// bug the model checker's self-check must catch.
-fn redistribute_mutated(p: usize, dead: &[usize], double: bool) -> Vec<Vec<(usize, usize)>> {
-    let mut assignments: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
+fn redistribute_mutated(p: usize, dead: &[usize], double: bool) -> Vec<Vec<WorkUnit>> {
+    let mut assignments: Vec<Vec<WorkUnit>> = vec![Vec::new(); p];
     if dead.is_empty() {
         return assignments;
     }
     let survivors: Vec<usize> = (0..p).filter(|x| !dead.contains(x)).collect();
-    let mut cursor = 0usize;
-    for a in 0..p {
-        for b in a..p {
-            if dead.contains(&block_pair_owner(a, b, p)) {
-                assignments[survivors[cursor % survivors.len()]].push((a, b));
-                if double {
-                    assignments[survivors[(cursor + 1) % survivors.len()]].push((a, b));
-                }
-                cursor += 1;
+    let mut cursor = 1usize;
+    for unit in work_units(p) {
+        if dead.contains(&unit_owner(unit, p)) {
+            assignments[survivors[cursor % survivors.len()]].push(unit);
+            if double {
+                assignments[survivors[(cursor + 1) % survivors.len()]].push(unit);
             }
+            cursor += 1;
         }
     }
     assignments
@@ -99,10 +230,10 @@ pub enum Frame {
     },
     /// A rank's phase-1 results (pooled nulls + candidates).
     Results,
-    /// The coordinator's reassignment of dead ranks' block pairs.
+    /// The coordinator's reassignment of dead ranks' work units.
     Assign {
-        /// Block pairs the receiving rank must recompute.
-        pairs: Vec<(usize, usize)>,
+        /// Work units the receiving rank must recompute.
+        units: Vec<WorkUnit>,
     },
     /// A rank's recomputed share of reassigned work.
     Supplement,
@@ -148,10 +279,13 @@ pub enum Effect {
     /// block; the interpreter adopts its payload.
     AcceptBlock,
     /// Compute the cross pairs between the rank's own block and `block`
-    /// (the travelling block just accepted or healed).
+    /// (the travelling block just accepted or healed), restricted to
+    /// `half` of the higher block's genes.
     ComputeCross {
         /// Foreign block index.
         block: usize,
+        /// Which of the higher block's genes this rank owns.
+        half: Half,
     },
     /// The expected frame was lost: rebuild `block` from the shared
     /// matrix and adopt it as the new travelling block (ring healing).
@@ -159,11 +293,11 @@ pub enum Effect {
         /// Block index the rank was due this round.
         block: usize,
     },
-    /// Recompute the given reassigned block pairs and add them to this
+    /// Recompute the given reassigned work units and add them to this
     /// rank's supplement.
     ComputeAssigned {
-        /// Block pairs to recompute, in order.
-        pairs: Vec<(usize, usize)>,
+        /// Work units to recompute, in order.
+        units: Vec<WorkUnit>,
     },
     /// Coordinator: rank `from`'s phase-1 results arrived; merge them.
     AcceptResults {
@@ -176,12 +310,12 @@ pub enum Effect {
         rank: usize,
     },
     /// Coordinator: the census found dead ranks and redistributed their
-    /// block pairs over the survivors.
+    /// work units over the survivors.
     Redistributed {
         /// Number of ranks presumed dead.
         dead_ranks: usize,
-        /// Total block pairs reassigned.
-        block_pairs: usize,
+        /// Total work units reassigned.
+        units: usize,
         /// Number of surviving ranks.
         survivors: usize,
     },
@@ -195,8 +329,8 @@ pub enum Effect {
     RecomputeShare {
         /// Rank whose share is being recomputed.
         from: usize,
-        /// That rank's assigned block pairs.
-        pairs: Vec<(usize, usize)>,
+        /// That rank's assigned work units.
+        units: Vec<WorkUnit>,
     },
     /// Coordinator: all parts collected; merge and threshold.
     Finalize {
@@ -228,12 +362,16 @@ pub enum Mutation {
     /// never-looping-receive bug, in its harmful form — a delayed
     /// frame corrupts the travelling-block identity).
     AcceptAnyRound,
-    /// Redistribute each dead rank's block pair to *two* survivors,
+    /// Redistribute each dead rank's work unit to *two* survivors,
     /// double-counting its nulls and candidates.
     DoubleRedistribute,
     /// Skip the coordinator's supplement backstop: a survivor whose
     /// supplement is lost silently loses its share.
     SkipSupplementBackstop,
+    /// Both ranks of an antipodal pair compute the *whole* pair instead
+    /// of their half, so the pair's nulls and candidates are counted
+    /// twice.
+    WholeAntipodal,
 }
 
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -259,7 +397,7 @@ pub struct RankMachine {
     /// Identity of the block this rank is currently forwarding.
     travelling: usize,
     dead: Vec<usize>,
-    assignments: Vec<Vec<(usize, usize)>>,
+    assignments: Vec<Vec<WorkUnit>>,
     mutation: Mutation,
     state: State,
 }
@@ -368,14 +506,14 @@ impl RankMachine {
                 if self.mutation != Mutation::SkipSupplementBackstop {
                     fx.push(Effect::RecomputeShare {
                         from,
-                        pairs: self.assignments[from].clone(),
+                        units: self.assignments[from].clone(),
                     });
                 }
                 self.await_supplement(from + 1, &mut fx)
             }
-            (State::AwaitAssign, Event::Frame(Frame::Assign { pairs })) => {
-                if !pairs.is_empty() {
-                    fx.push(Effect::ComputeAssigned { pairs });
+            (State::AwaitAssign, Event::Frame(Frame::Assign { units })) => {
+                if !units.is_empty() {
+                    fx.push(Effect::ComputeAssigned { units });
                 }
                 fx.push(Effect::Send {
                     to: 0,
@@ -407,8 +545,18 @@ impl RankMachine {
     /// the `AcceptAnyRound` mutant observable.
     fn compute_cross_if_owner(&self, d: usize, block: usize, fx: &mut Vec<Effect>) {
         let held = (self.r + self.p - d) % self.p;
-        if block_pair_owner(self.r, held, self.p) == self.r {
-            fx.push(Effect::ComputeCross { block });
+        if self.mutation == Mutation::WholeAntipodal && is_antipodal(self.r, held, self.p) {
+            fx.push(Effect::ComputeCross {
+                block,
+                half: Half::Whole,
+            });
+            return;
+        }
+        let owned = halves(self.r, held, self.p)
+            .iter()
+            .find(|&&h| unit_owner(WorkUnit::new(self.r, held, h), self.p) == self.r);
+        if let Some(&half) = owned {
+            fx.push(Effect::ComputeCross { block, half });
         }
     }
 
@@ -457,21 +605,21 @@ impl RankMachine {
         if !self.dead.is_empty() {
             fx.push(Effect::Redistributed {
                 dead_ranks: self.dead.len(),
-                block_pairs: self.assignments.iter().map(Vec::len).sum(),
+                units: self.assignments.iter().map(Vec::len).sum(),
                 survivors: self.p - self.dead.len(),
             });
         }
-        for (to, pairs) in self.assignments.iter().enumerate().skip(1) {
+        for (to, units) in self.assignments.iter().enumerate().skip(1) {
             fx.push(Effect::Send {
                 to,
                 frame: Frame::Assign {
-                    pairs: pairs.clone(),
+                    units: units.clone(),
                 },
             });
         }
         if !self.assignments[0].is_empty() {
             fx.push(Effect::ComputeAssigned {
-                pairs: self.assignments[0].clone(),
+                units: self.assignments[0].clone(),
             });
         }
         self.await_supplement(1, fx)
@@ -517,58 +665,116 @@ mod tests {
     }
 
     #[test]
-    fn faithful_ring_computes_each_owned_pair_once() {
-        // Drive a 4-rank ring by hand with perfect delivery and check
-        // the union of computed pairs is exactly every unordered block
-        // pair, each once.
-        let p = 4;
-        let mut machines: Vec<_> = (0..p)
-            .map(|r| RankMachine::new(r, p, Mutation::None))
-            .collect();
-        let mut computed: Vec<(usize, usize)> = Vec::new();
-        let mut inflight: Vec<Vec<(usize, Frame)>> = vec![Vec::new(); p]; // per-sender
-        for (r, m) in machines.iter_mut().enumerate() {
-            let (fx, _) = m.step(Event::Start);
-            for e in &fx {
-                match e {
-                    Effect::ComputeDiag => computed.push((r, r)),
-                    Effect::Send { to, frame } => inflight[r].push((*to, frame.clone())),
-                    _ => {}
+    fn faithful_ring_computes_each_unit_once() {
+        // Drive a p-rank ring by hand with perfect delivery and check
+        // the union of computed units is exactly every work unit once.
+        for p in 1..=6 {
+            let mut machines: Vec<_> = (0..p)
+                .map(|r| RankMachine::new(r, p, Mutation::None))
+                .collect();
+            let mut computed: Vec<WorkUnit> = Vec::new();
+            let mut inflight: Vec<Vec<(usize, Frame)>> = vec![Vec::new(); p]; // per-sender
+            for (r, m) in machines.iter_mut().enumerate() {
+                let (fx, _) = m.step(Event::Start);
+                for e in &fx {
+                    match e {
+                        Effect::ComputeDiag => computed.push(WorkUnit::new(r, r, Half::Whole)),
+                        Effect::Send { to, frame } => inflight[r].push((*to, frame.clone())),
+                        _ => {}
+                    }
                 }
             }
-        }
-        // Two synchronous ring rounds.
-        for _ in 0..p / 2 {
-            let mut next_inflight: Vec<Vec<(usize, Frame)>> = vec![Vec::new(); p];
-            for sent in &mut inflight {
-                for (to, frame) in std::mem::take(sent) {
-                    if matches!(frame, Frame::Block { .. }) {
-                        let (fx, _) = machines[to].step(Event::Frame(frame));
-                        for e in &fx {
-                            match e {
-                                Effect::ComputeCross { block } => {
-                                    let (a, b) = (to.min(*block), to.max(*block));
-                                    computed.push((a, b));
+            // ⌊p/2⌋ synchronous ring rounds.
+            for _ in 0..p / 2 {
+                let mut next_inflight: Vec<Vec<(usize, Frame)>> = vec![Vec::new(); p];
+                for sent in &mut inflight {
+                    for (to, frame) in std::mem::take(sent) {
+                        if matches!(frame, Frame::Block { .. }) {
+                            let (fx, _) = machines[to].step(Event::Frame(frame));
+                            for e in &fx {
+                                match e {
+                                    Effect::ComputeCross { block, half } => {
+                                        let unit = WorkUnit::new(to, *block, *half);
+                                        assert_eq!(unit_owner(unit, p), to, "p={p} {unit}");
+                                        computed.push(unit);
+                                    }
+                                    Effect::Send { to: t, frame: f } => {
+                                        next_inflight[to].push((*t, f.clone()));
+                                    }
+                                    _ => {}
                                 }
-                                Effect::Send { to: t, frame: f } => {
-                                    next_inflight[to].push((*t, f.clone()));
-                                }
-                                _ => {}
                             }
                         }
                     }
                 }
+                inflight = next_inflight;
             }
-            inflight = next_inflight;
+            computed.sort_unstable();
+            assert_eq!(computed, work_units(p), "p={p}");
         }
-        let mut expect: Vec<(usize, usize)> = Vec::new();
-        for a in 0..p {
-            for b in a..p {
-                expect.push((a, b));
+    }
+
+    #[test]
+    fn antipodal_pairs_split_between_their_two_ranks() {
+        for p in 1..=9 {
+            let units = work_units(p);
+            assert!(
+                units.windows(2).all(|w| w[0] < w[1]),
+                "p={p}: canonical order"
+            );
+            assert!(units.iter().all(|u| u.is_unit_of(p)));
+            let split = units.iter().filter(|u| u.half != Half::Whole).count();
+            assert_eq!(split, if p % 2 == 0 { p } else { 0 }, "p={p}");
+            for u in units {
+                let owner = unit_owner(u, p);
+                assert!(owner == u.lo || owner == u.hi, "p={p} {u}: owner {owner}");
+                if u.lo != u.hi {
+                    // The owner meets the partner block within ⌊p/2⌋ rounds.
+                    let partner = u.lo + u.hi - owner;
+                    let round = (owner + p - partner) % p;
+                    assert!((1..=p / 2).contains(&round), "p={p} {u}: round {round}");
+                }
             }
         }
-        computed.sort_unstable();
-        assert_eq!(computed, expect);
+        assert_eq!(unit_owner(WorkUnit::new(2, 0, Half::First), 4), 0);
+        assert_eq!(unit_owner(WorkUnit::new(2, 0, Half::Second), 4), 2);
+        assert!(!WorkUnit::new(0, 2, Half::Whole).is_unit_of(4));
+        assert!(!WorkUnit::new(0, 1, Half::First).is_unit_of(4));
+        assert!(!WorkUnit::new(0, 4, Half::Whole).is_unit_of(4));
+    }
+
+    #[test]
+    fn halves_partition_the_higher_block() {
+        for len in 0..9 {
+            let (s1, e1) = Half::First.range(len);
+            let (s2, e2) = Half::Second.range(len);
+            assert_eq!((s1, e1, e2), (0, s2, len), "len={len}");
+            assert_eq!(e1, len.div_ceil(2));
+            assert_eq!(Half::Whole.range(len), (0, len));
+        }
+        for h in [Half::Whole, Half::First, Half::Second] {
+            assert_eq!(Half::from_code(h.code()), Some(h));
+        }
+        assert_eq!(Half::from_code(3), None);
+    }
+
+    #[test]
+    fn whole_antipodal_mutant_computes_the_whole_pair() {
+        for r in 0..2 {
+            let mut m = RankMachine::new(r, 2, Mutation::WholeAntipodal);
+            let _ = m.step(Event::Start);
+            let (fx, _) = m.step(Event::Frame(Frame::Block {
+                round: 1,
+                block: 1 - r,
+            }));
+            assert!(
+                fx.contains(&Effect::ComputeCross {
+                    block: 1 - r,
+                    half: Half::Whole
+                }),
+                "rank {r}: {fx:?}"
+            );
+        }
     }
 
     #[test]
@@ -590,9 +796,12 @@ mod tests {
         let _ = m.step(Event::Timeout); // round 1 lost: heal block 0
         let (fx, _) = m.step(Event::Frame(Frame::Block { round: 1, block: 0 }));
         // Round 2: the stale round-1 frame is adopted, so the mutant
-        // recomputes {0,1} instead of its owed {1,3}.
+        // recomputes half of {0,1} instead of its owed half of {1,3}.
         assert!(
-            fx.contains(&Effect::ComputeCross { block: 0 }),
+            fx.contains(&Effect::ComputeCross {
+                block: 0,
+                half: Half::First
+            }),
             "mutant must compute against the stale identity: {fx:?}"
         );
     }
@@ -604,7 +813,10 @@ mod tests {
         let (fx, _) = m.step(Event::Timeout);
         assert!(fx.contains(&Effect::Heal { block: 1 }));
         // Rank 2 owns {1,2} (meets block 1 in round 1).
-        assert!(fx.contains(&Effect::ComputeCross { block: 1 }));
+        assert!(fx.contains(&Effect::ComputeCross {
+            block: 1,
+            half: Half::Whole
+        }));
         // Healing forwards the rebuilt block as round 2's travelling.
         assert!(sends(&fx)
             .iter()
@@ -623,10 +835,10 @@ mod tests {
         assert!(fx.contains(&Effect::PresumeDead { rank: 2 }));
         let expected = redistribute(p, &[2]);
         let total: usize = expected.iter().map(Vec::len).sum();
-        assert!(total > 0, "rank 2 owns pairs that must be reassigned");
+        assert!(total > 0, "rank 2 owns units that must be reassigned");
         assert!(fx.iter().any(|e| matches!(
             e,
-            Effect::Redistributed { dead_ranks: 1, block_pairs, survivors: 2 } if *block_pairs == total
+            Effect::Redistributed { dead_ranks: 1, units, survivors: 2 } if *units == total
         )));
         // Assignments go to every nonzero rank, dead or not.
         assert_eq!(sends(&fx).len(), p - 1);
@@ -635,10 +847,38 @@ mod tests {
         let (fx, w) = m.step(Event::Timeout); // rank 1's supplement lost
         assert!(fx.iter().any(|e| matches!(
             e,
-            Effect::RecomputeShare { from: 1, pairs } if *pairs == expected[1]
+            Effect::RecomputeShare { from: 1, units } if *units == expected[1]
         )));
         assert!(matches!(fx.last(), Some(Effect::Finalize { dead }) if dead == &vec![2]));
         assert_eq!(w, Wait::Done);
+    }
+
+    #[test]
+    fn a_dead_ranks_half_is_reassigned_alone() {
+        // Rank 1 of 2 owns its diagonal and the second half of {0,1};
+        // rank 2 of 4 owns its diagonal, {1,2}, and the second half of
+        // {0,2}. Exactly those units move, round-robin from rank 1.
+        let a = redistribute(2, &[1]);
+        assert_eq!(
+            a,
+            vec![
+                vec![
+                    WorkUnit::new(0, 1, Half::Second),
+                    WorkUnit::new(1, 1, Half::Whole)
+                ],
+                vec![]
+            ]
+        );
+        let a = redistribute(4, &[2]);
+        assert_eq!(
+            a,
+            vec![
+                vec![WorkUnit::new(2, 2, Half::Whole)],
+                vec![WorkUnit::new(0, 2, Half::Second)],
+                vec![],
+                vec![WorkUnit::new(1, 2, Half::Whole)]
+            ]
+        );
     }
 
     #[test]

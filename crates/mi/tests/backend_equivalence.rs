@@ -4,11 +4,6 @@
 //! harness's kernel-oracle grade (≤ 2e-4 nats), and the backends must
 //! agree with *each other* even more tightly (the only cross-backend
 //! difference is `xlogx_sum`'s vectorized `ln`, a few ULP per grid cell).
-//!
-//! Lives in its own integration-test binary on purpose: forcing a backend
-//! swaps a process-global dispatch table, which could perturb unit tests
-//! in the library binary that assert exact equality of two dispatched
-//! computations.
 
 use gnet_bspline::BsplineBasis;
 use gnet_expr::normalize::rank_transform_profile;

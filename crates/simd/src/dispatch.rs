@@ -15,16 +15,18 @@
 //!   latter is what the conformance harness and the benchmark suite use to
 //!   measure every backend in one process.
 //!
-//! Forcing swaps a process-global table, so [`with_forced`] serializes
-//! callers behind a mutex and restores the previous backend on exit (even
-//! on panic). Concurrent *kernel* calls during a forced section simply see
-//! one coherent table or the other — every table computes correct results,
-//! only speed differs (and, for `xlogx_sum`, a few ULP; see the grades in
-//! `DESIGN.md` §14).
+//! [`force_backend`] swaps the process-global choice. [`with_forced`]
+//! instead overrides it for the *calling thread* only, restoring the
+//! previous override on exit (even on panic): a forced section never
+//! changes which table another thread's kernels — or its
+//! [`active_backend`] — see, so concurrent callers cannot perturb each
+//! other's speed or last-ULP results (`xlogx_sum` differs by a few ULP
+//! across backends; see the grades in `DESIGN.md` §14).
 
+use core::cell::Cell;
 use core::fmt;
 use core::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::joint::{BinWindows, RowSource};
 use crate::slice_ops;
@@ -232,15 +234,27 @@ fn ensure_init() -> Backend {
     }
 }
 
-/// The kernel table currently in effect (initializing dispatch on first
-/// call).
-pub fn table() -> &'static KernelTable {
-    table_for(ensure_init())
+thread_local! {
+    /// This thread's [`with_forced`] override: 0 = none, else a `Backend::id`.
+    static FORCED: Cell<u8> = const { Cell::new(0) };
 }
 
-/// The backend currently in effect (initializing dispatch on first call).
+/// The backend in effect on this thread: its [`with_forced`] override,
+/// else the process-wide choice.
+fn current() -> Backend {
+    Backend::from_id(FORCED.with(Cell::get)).unwrap_or_else(ensure_init)
+}
+
+/// The kernel table currently in effect on this thread (initializing
+/// dispatch on first call).
+pub fn table() -> &'static KernelTable {
+    table_for(current())
+}
+
+/// The backend currently in effect on this thread (initializing dispatch
+/// on first call).
 pub fn active_backend() -> Backend {
-    ensure_init()
+    current()
 }
 
 /// Error returned when a forced backend is not executable on this CPU.
@@ -269,25 +283,22 @@ pub fn force_backend(b: Backend) -> Result<(), UnsupportedBackend> {
     Ok(())
 }
 
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` with dispatch forced to `b`, restoring the previous backend
-/// afterwards (also on panic). Serialized process-wide so concurrent
-/// forced sections cannot interleave their overrides.
+/// Run `f` with dispatch forced to `b` on the calling thread, restoring
+/// the thread's previous override afterwards (also on panic). Other
+/// threads keep their own choice throughout, so `f` must run its kernels
+/// on the calling thread. Fails (without running `f`) if the CPU lacks
+/// the features.
 pub fn with_forced<R>(b: Backend, f: impl FnOnce() -> R) -> Result<R, UnsupportedBackend> {
-    let _guard = FORCE_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let previous = ensure_init();
-    force_backend(b)?;
-    struct Restore(Backend);
+    if !b.is_supported() {
+        return Err(UnsupportedBackend(b));
+    }
+    struct Restore(u8);
     impl Drop for Restore {
         fn drop(&mut self) {
-            // The previous backend was active before, so it is supported.
-            let _ = force_backend(self.0);
+            FORCED.with(|c| c.set(self.0));
         }
     }
-    let _restore = Restore(previous);
+    let _restore = Restore(FORCED.with(|c| c.replace(b.id())));
     Ok(f())
 }
 
@@ -363,6 +374,19 @@ mod tests {
         .expect("emulated is always supported");
         assert_eq!(ran, 42);
         assert_eq!(active_backend(), before);
+    }
+
+    #[test]
+    fn with_forced_is_scoped_to_the_calling_thread() {
+        let process_wide = active_backend();
+        with_forced(Backend::Emulated, || {
+            let other = std::thread::spawn(active_backend)
+                .join()
+                .expect("probe thread");
+            assert_eq!(other, process_wide);
+            assert_eq!(active_backend(), Backend::Emulated);
+        })
+        .expect("emulated is always supported");
     }
 
     #[test]

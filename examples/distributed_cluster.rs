@@ -50,7 +50,7 @@ fn main() {
 
     println!(
         "{:>5}  {:>10}  {:>12}  {:>10}  {:>10}",
-        "rank", "pairs", "block pairs", "messages", "KB sent"
+        "rank", "pairs", "work units", "messages", "KB sent"
     );
     for s in &dist.rank_stats {
         println!(
