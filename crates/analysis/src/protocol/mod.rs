@@ -9,11 +9,11 @@
 //! * [`world`] — the transition system: machines × per-channel FIFO
 //!   message pools × fault budgets, plus the correctness oracles
 //!   (deadlock, census divergence, exact work-unit coverage).
-//! * [`explore`] — bounded stateful DFS with FNV fingerprint
+//! * [`explore`](mod@explore) — bounded stateful DFS with FNV fingerprint
 //!   deduplication (commuting interleavings collapse to one state, the
 //!   partial-order reduction that makes exhaustive bounds tractable)
 //!   and a seeded random-walk fallback once the state cap is hit.
-//! * [`self_check`] — proves the checker catches real bugs: four
+//! * [`self_check`](mod@self_check) — proves the checker catches real bugs: four
 //!   protocol mutations are injected ([`Mutation::AcceptAnyRound`],
 //!   [`Mutation::DoubleRedistribute`],
 //!   [`Mutation::SkipSupplementBackstop`], [`Mutation::WholeAntipodal`])
@@ -61,7 +61,7 @@ pub struct Bounds {
 impl Bounds {
     /// PR-gate bounds: small rings, one fault of each kind — minutes of
     /// CI, yet every known mutation class is reachable (see
-    /// [`self_check`]).
+    /// [`self_check`](fn@self_check)).
     #[must_use]
     pub fn quick() -> Self {
         Self {

@@ -2,9 +2,8 @@
 
 use crate::args::{ArgError, ArgMap};
 use gnet_cluster::{
-    infer_network_distributed_faulty, infer_network_distributed_live,
-    infer_network_distributed_traced, run_worker, serve_coordinator, TelemetryPlane, TelemetrySpec,
-    DEFAULT_PEER_TIMEOUT,
+    infer_network_distributed_with, run_worker, serve_coordinator, DistributedOptions,
+    TelemetryPlane, TelemetrySpec, DEFAULT_PEER_TIMEOUT,
 };
 use gnet_core::config::NullStrategy;
 use gnet_core::{
@@ -209,7 +208,7 @@ fn progress_sink() -> impl Fn(Progress) + Send + Sync + 'static {
 /// `gnet infer` — run the pipeline on a TSV matrix.
 ///
 /// Options: `--input FILE` `--output FILE` plus the config options of
-/// [`config_from_args`], `--dpi EPS` for post-pruning, `--ranks P`
+/// `config_from_args`, `--dpi EPS` for post-pruning, `--ranks P`
 /// to run over the simulated cluster instead of shared memory, and the
 /// observability options `--trace FILE` (NDJSON event stream),
 /// `--metrics FILE` (metrics summary JSON), `--progress` (live stderr
@@ -228,7 +227,8 @@ fn progress_sink() -> impl Fn(Progress) + Send + Sync + 'static {
 /// `listening on IP:PORT`, waits for `P − 1` `gnet worker --connect`
 /// processes, and produces the byte-identical edge set.
 ///
-/// Live telemetry (with `--ranks`, in-process or `--listen`):
+/// Live telemetry (with `--ranks`, in-process or `--listen`, traced or
+/// not):
 /// `--status-addr ADDR` serves `/status` (gnet-status/1 JSON) and
 /// `/metrics` (Prometheus text) over HTTP and prints
 /// `status listening on IP:PORT`; `--status-file FILE` atomically
@@ -284,9 +284,6 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     }
     if status_interval_ms == 0 {
         return fail("--status-interval-ms must be at least 1");
-    }
-    if telemetry && trace_dir.is_some() && listen.is_none() {
-        return fail("--status-* with --trace-dir needs the multi-process path (--listen); the in-process driver wires one or the other");
     }
     let checkpoint_dir = args.get("checkpoint-dir").map(str::to_string);
     let checkpoint_every = args.get_or("checkpoint-every", 8usize)?;
@@ -424,34 +421,14 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
                     plane.as_ref(),
                 )
             } else {
-                match (&trace_dir, &plane) {
-                    (Some(dir), _) => infer_network_distributed_traced(
-                        &matrix,
-                        &cfg,
-                        p,
-                        &injector,
-                        &rec,
-                        DEFAULT_PEER_TIMEOUT,
-                        std::path::Path::new(dir),
-                    ),
-                    (None, Some(live)) => infer_network_distributed_live(
-                        &matrix,
-                        &cfg,
-                        p,
-                        &injector,
-                        &rec,
-                        DEFAULT_PEER_TIMEOUT,
-                        live,
-                    ),
-                    (None, None) => infer_network_distributed_faulty(
-                        &matrix,
-                        &cfg,
-                        p,
-                        &injector,
-                        &rec,
-                        DEFAULT_PEER_TIMEOUT,
-                    ),
-                }
+                let options = DistributedOptions {
+                    faults: injector.clone(),
+                    recorder: rec.clone(),
+                    trace_dir: trace_dir.as_deref().map(std::path::Path::new),
+                    live: plane.as_ref(),
+                    ..DistributedOptions::default()
+                };
+                infer_network_distributed_with(&matrix, &cfg, p, &options)
             }
             .map_err(|e| CliError(e.to_string()))?;
             if let Some(dir) = &trace_dir {
@@ -1334,6 +1311,13 @@ pub fn cmd_bench(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
                 "WARNING {:<20} {:.1} us -> {:.1} us ({:.2}x faster): baseline is stale \
                  — refresh it with --update-baseline",
                 w.id, w.base_min_us, w.cand_min_us, w.speedup
+            )?;
+        }
+        for id in bench::ungated(&base, &suite) {
+            writeln!(
+                out,
+                "WARNING {id:<20} has no entry in {bp}: not gated \
+                 — add it with --update-baseline"
             )?;
         }
         if update_baseline {
@@ -2314,6 +2298,12 @@ mod tests {
         let (res, text) = gate();
         res.unwrap();
         assert!(text.contains("no significant regressions"), "{text}");
+        // The timed ids the counted-only baseline lacks are named.
+        assert!(
+            text.lines()
+                .any(|l| l.starts_with("WARNING kernel.vector ") && l.contains("not gated")),
+            "{text}"
+        );
 
         // A baseline recording half the work: the gate trips on it.
         write_baseline(
@@ -2373,13 +2363,20 @@ mod tests {
         assert!(err.0.contains("regression"), "{}", err.0);
         let text = String::from_utf8(out).unwrap();
         assert!(
-            text.contains("REGRESSION") && text.contains("kernel.vector"),
+            text.contains("REGRESSION kernel.vector"),
             "the vector kernel must be the flagged series: {text}"
         );
-        assert!(
-            !text.contains("REGRESSION kernel.scalar"),
-            "the scalar kernel is untouched by the injection: {text}"
-        );
+        // The scalar series is the control: the injection adds no work
+        // to it. Checked on the plumbing, not on a reps-1 timing of it,
+        // which a loaded machine can push past the gate by itself.
+        assert!(gnet_obs::bench::slowdown_injected(
+            MiKernel::VectorDense,
+            3.0
+        ));
+        assert!(!gnet_obs::bench::slowdown_injected(
+            MiKernel::ScalarSparse,
+            3.0
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2771,6 +2768,75 @@ mod tests {
         let text = String::from_utf8(status_out).unwrap();
         assert!(text.contains("gnet-status/1: done"), "{text}");
         assert!(text.lines().count() >= 5, "per-rank table present: {text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A traced in-process ring with a status file gets both: the
+    /// per-rank streams + manifest, and rank beats in the status
+    /// snapshot from every rank.
+    #[test]
+    fn traced_ring_also_feeds_the_status_file() {
+        let dir = tmpdir("traced_live");
+        let matrix = dir.join("m.tsv");
+        let edges = dir.join("e.tsv");
+        let traces = dir.join("traces");
+        let status = dir.join("status.json");
+        let mut sink = Vec::new();
+        cmd_generate(
+            &argmap(&[
+                "--genes",
+                "24",
+                "--samples",
+                "120",
+                "--seed",
+                "5",
+                "--out",
+                matrix.to_str().unwrap(),
+            ]),
+            &mut sink,
+        )
+        .unwrap();
+        cmd_infer(
+            &argmap(&[
+                "--input",
+                matrix.to_str().unwrap(),
+                "--output",
+                edges.to_str().unwrap(),
+                "--q",
+                "8",
+                "--ranks",
+                "3",
+                "--trace-dir",
+                traces.to_str().unwrap(),
+                "--status-file",
+                status.to_str().unwrap(),
+                "--status-interval-ms",
+                "5",
+            ]),
+            &mut sink,
+        )
+        .unwrap();
+        let manifest = std::fs::read_to_string(traces.join("manifest.json")).unwrap();
+        let doc = std::fs::read_to_string(&status).unwrap();
+        assert!(doc.contains("\"state\":\"done\""), "{doc}");
+        for r in 0..3 {
+            assert!(
+                manifest.contains(&format!("\"rank-{r}.ndjson\"")),
+                "{manifest}"
+            );
+            assert!(traces.join(format!("rank-{r}.ndjson")).exists());
+            // This rank's entry of the `per_rank` table.
+            let entry = doc
+                .split(&format!("{{\"rank\":{r},"))
+                .nth(1)
+                .and_then(|rest| rest.split("{\"rank\":").next())
+                .unwrap_or_else(|| panic!("rank {r} missing from the status: {doc}"));
+            assert!(entry.contains("\"beats\":"), "{entry}");
+            assert!(
+                !entry.contains("\"beats\":0,"),
+                "rank {r} never beat: {entry}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

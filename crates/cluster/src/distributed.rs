@@ -17,9 +17,27 @@
 //! on rank 0, which applies the global threshold — the same statistics
 //! as the shared-memory pipeline.
 //!
+//! A rank evaluates each of its work units with the shared-memory
+//! pipeline's pair loop, [`gnet_core::pipeline::process_tile`]: the unit
+//! (x block × y block or half, or the diagonal triangle) is cut into
+//! tiles of `config.resolved_tile_size` genes — the paper's L2 rule, a
+//! tile's 2·T weight matrices fit in cache — and each tile expands its
+//! dense y columns once. The ring has no pair loop of its own.
+//!
 //! This is the structure of the original TINGe MPI implementation (the
 //! cluster baseline the paper compares against), realized over the
-//! in-process fabric of [`crate::comm`].
+//! in-process fabric of [`crate::comm`] or loopback TCP.
+//!
+//! ## Entry points
+//!
+//! [`infer_network_distributed_with`] is the one in-process driver: a
+//! [`DistributedOptions`] value picks the transport ([`RingTransport`]),
+//! fault injector, recorder, peer timeout, trace directory and live
+//! plane, in any combination. [`infer_network_distributed`] (channels)
+//! and [`infer_network_distributed_tcp`] (loopback TCP) are its
+//! fault-free conveniences. Every driver — these and the multi-process
+//! coordinator and worker of [`crate::process`] — sets each rank up the
+//! same way (its recorder, live duty, TCP counters and trace stream).
 //!
 //! ## Failure awareness
 //!
@@ -57,19 +75,22 @@ use crate::protocol::{
     block_range, Effect, Event as ProtoEvent, Frame as ProtoFrame, Half, Mutation, Phase,
     RankMachine, Wait, WorkUnit,
 };
+use crate::tcp::TcpCounters;
 use crate::transport::Transport;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gnet_bspline::BsplineBasis;
 use gnet_core::config::NullStrategy;
+use gnet_core::pipeline::{process_tile, Candidate, GeneSpan, Tile, TileState};
 use gnet_core::InferenceConfig;
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::{names, Fault, FaultInjector};
 use gnet_graph::{Edge, GeneNetwork};
-use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch};
+use gnet_mi::{prepare_gene, MiKernel, MiScratch};
 use gnet_permute::{PermutationSet, PooledNull};
 use gnet_trace::{MetricsSink, Recorder, Span, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -186,8 +207,62 @@ pub struct DistributedResult {
     pub crashed_ranks: Vec<usize>,
 }
 
+/// The wire a distributed run's ranks talk over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RingTransport {
+    /// The in-process channel fabric of [`crate::comm`]: a rank's death
+    /// is its dropped endpoint.
+    Channel,
+    /// Loopback TCP, one connection per rank pair ([`crate::tcp`]): a
+    /// rank's death is its FIN, and wire faults act on real sockets.
+    Tcp,
+}
+
+/// How [`infer_network_distributed_with`] carries a run out, apart from
+/// what it computes. [`Default`] is the fault-free, untraced channel ring
+/// with [`DEFAULT_PEER_TIMEOUT`].
+#[derive(Clone)]
+pub struct DistributedOptions<'a> {
+    /// Channel fabric or loopback TCP. The edge file and threshold are
+    /// bit-identical between the two.
+    pub transport: RingTransport,
+    /// Injected faults: rank crashes, dropped or delayed frames, and —
+    /// over TCP — wire faults (`refuse`/`cut`/`stall`/`trunc`).
+    pub faults: FaultInjector,
+    /// Receives the recovery counters and events (crash detected, ring
+    /// healed, work redistributed).
+    pub recorder: Recorder,
+    /// How long a rank waits on a peer before presuming it dead.
+    pub peer_timeout: Duration,
+    /// Per-rank trace capture: every rank records into a private
+    /// [`Recorder`] whose stream is written to `rank-<r>.ndjson` here
+    /// after the run, next to a `manifest.json` listing them. Ranks first
+    /// run a clock exchange (a stamp circulated 0 → 1 → … → P−1) so each
+    /// learns its trace-epoch offset from rank 0
+    /// ([`RankStats::clock_offset_us`], also in its stream's meta line);
+    /// a lost stamp degrades the offset to zero, never the run.
+    pub trace_dir: Option<&'a Path>,
+    /// Live telemetry plane: every rank carries a metrics registry and
+    /// beats rank 0 on the plane's cadence; rank 0 folds the beats — its
+    /// own included — into the plane's cluster view.
+    pub live: Option<&'a TelemetryPlane>,
+}
+
+impl Default for DistributedOptions<'_> {
+    fn default() -> Self {
+        Self {
+            transport: RingTransport::Channel,
+            faults: FaultInjector::none(),
+            recorder: Recorder::disabled(),
+            peer_timeout: DEFAULT_PEER_TIMEOUT,
+            trace_dir: None,
+            live: None,
+        }
+    }
+}
+
 /// Run the full inference distributed over `ranks` simulated cluster
-/// ranks (fault-free fabric).
+/// ranks (fault-free channel fabric).
 ///
 /// # Panics
 /// Panics if `ranks` is zero or exceeds the gene count, or if the config
@@ -198,113 +273,101 @@ pub fn infer_network_distributed(
     config: &InferenceConfig,
     ranks: usize,
 ) -> DistributedResult {
-    infer_network_distributed_faulty(
-        matrix,
-        config,
-        ranks,
-        &FaultInjector::none(),
-        &Recorder::disabled(),
-        DEFAULT_PEER_TIMEOUT,
-    )
-    .expect("fault-free distributed run cannot fail")
+    infer_network_distributed_with(matrix, config, ranks, &DistributedOptions::default())
+        .expect("fault-free distributed run cannot fail")
 }
 
-/// Run the distributed inference on a fabric armed with `faults`,
-/// recording recovery events on `rec`. With `FaultInjector::none()` this
-/// is exactly [`infer_network_distributed`], bit for bit.
+/// Run the full inference distributed over `ranks` ranks talking TCP
+/// over loopback (fault-free). The result is byte-identical to
+/// [`infer_network_distributed`] — the conformance suite pins this.
+///
+/// # Errors
+/// [`ClusterError::Transport`] when the loopback mesh cannot be bound.
+///
+/// # Panics
+/// Same validation panics as [`infer_network_distributed`].
+pub fn infer_network_distributed_tcp(
+    matrix: &ExpressionMatrix,
+    config: &InferenceConfig,
+    ranks: usize,
+) -> Result<DistributedResult, ClusterError> {
+    let options = DistributedOptions {
+        transport: RingTransport::Tcp,
+        ..DistributedOptions::default()
+    };
+    infer_network_distributed_with(matrix, config, ranks, &options)
+}
+
+/// Run the distributed inference over `ranks` in-process ranks as
+/// `options` says: over channels or loopback TCP, with faults injected,
+/// traced, and/or with the live plane attached — in any combination.
 ///
 /// Any non-coordinator rank may crash, and messages may be dropped or
 /// delayed; the run still completes with the same edge set as the
-/// fault-free run (wall time degrades, never the result). Plans that
-/// kill rank 0 are rejected with [`ClusterError::CoordinatorCrash`].
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-pub fn infer_network_distributed_faulty(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-) -> Result<DistributedResult, ClusterError> {
-    run_distributed(matrix, config, ranks, faults, rec, peer_timeout, None, None)
-}
-
-/// [`infer_network_distributed_faulty`] with per-rank trace capture:
-/// every rank records its own spans/counters/events into a private
-/// [`Recorder`] whose stream is written to `trace_dir/rank-<r>.ndjson`
-/// after the run, and the driver (standing in for the coordinator's
-/// filesystem) writes `trace_dir/manifest.json` listing them.
-///
-/// Before the first ring round the ranks run a clock exchange — a
-/// [`TAG_CLOCK`] stamp circulated 0 → 1 → … → P−1 on the existing ring
-/// channels — so each rank learns its trace-epoch offset from rank 0
-/// ([`RankStats::clock_offset_us`], also stamped into its NDJSON meta
-/// line as `clock_offset_us`). Offline tooling subtracts the offset to
-/// align all streams on rank 0's timebase. A lost clock frame degrades
-/// the offset to zero for that rank (recorded as `clock.sync` with
-/// `ok:false`), never the run.
+/// fault-free run (wall time degrades, never the result). Neither
+/// tracing nor the live plane changes the edge set.
 ///
 /// # Errors
-/// [`ClusterError::CoordinatorCrash`] for rank-0 crash plans, and
-/// [`ClusterError::TraceIo`] when a trace file cannot be written.
+/// [`ClusterError::CoordinatorCrash`] for plans that kill rank 0,
+/// [`ClusterError::Transport`] when the TCP mesh cannot be established,
+/// and [`ClusterError::TraceIo`] when a trace file cannot be written.
 ///
 /// # Panics
 /// Same validation panics as [`infer_network_distributed`].
-pub fn infer_network_distributed_traced(
+pub fn infer_network_distributed_with(
     matrix: &ExpressionMatrix,
     config: &InferenceConfig,
     ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    trace_dir: &std::path::Path,
+    options: &DistributedOptions<'_>,
 ) -> Result<DistributedResult, ClusterError> {
-    run_distributed(
-        matrix,
-        config,
-        ranks,
-        faults,
-        rec,
-        peer_timeout,
-        Some(trace_dir),
-        None,
-    )
-}
-
-/// [`infer_network_distributed_faulty`] with the live telemetry plane
-/// attached: every rank carries a metrics registry (installed as its
-/// recorder's [`MetricsSink`]) and beats rank 0 on the plane's cadence;
-/// rank 0 folds the beats — its own included — into `plane`'s cluster
-/// view. The edge set is byte-identical to the same run without the
-/// plane (pinned by the `live` test suite).
-///
-/// # Errors
-/// As [`infer_network_distributed_faulty`].
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_network_distributed_live(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    plane: &TelemetryPlane,
-) -> Result<DistributedResult, ClusterError> {
-    run_distributed(
-        matrix,
-        config,
-        ranks,
-        faults,
-        rec,
-        peer_timeout,
-        None,
-        Some(plane),
-    )
+    validate_run(matrix, config, ranks, &options.faults)?;
+    let setups: Vec<RankSetup> = (0..ranks)
+        .map(|r| {
+            let duty = options
+                .live
+                .map(|plane| LiveDuty::new(plane.interval(), (r == 0).then(|| plane.view())));
+            RankSetup::new(r, ranks, options.trace_dir.is_some(), duty)
+        })
+        .collect();
+    let run = |tp: &dyn Transport| {
+        setups[tp.rank()].run(tp, matrix, config, &options.recorder, options.peer_timeout)
+    };
+    let outputs: Vec<(RankOutput, Option<Arc<TcpCounters>>)> = match options.transport {
+        RingTransport::Channel => {
+            run_ranks_on(Fabric::with_faults(ranks, options.faults.clone()), |ep| {
+                let out = run(&ep);
+                // Closing this rank's channels is the death signal the
+                // survivors' bounded receives detect.
+                drop(ep);
+                (out, None)
+            })
+        }
+        RingTransport::Tcp => crate::tcp::run_ranks_tcp(ranks, &options.faults, |tp| {
+            let out = run(&tp);
+            // Drain-then-FIN before the counters are read: survivors see
+            // this rank's death (crash or completion) exactly when a
+            // channel-fabric rank would have dropped its endpoint.
+            tp.shutdown();
+            (out, Some(Arc::clone(tp.counters())))
+        })
+        .map_err(|e| ClusterError::Transport {
+            message: e.to_string(),
+        })?,
+    };
+    let mut rank_outputs = Vec::with_capacity(ranks);
+    for (setup, (out, counters)) in setups.iter().zip(outputs) {
+        setup.finish(
+            counters.as_deref(),
+            options.trace_dir,
+            out.stats.clock_offset_us,
+        )?;
+        rank_outputs.push(out);
+    }
+    let result = assemble_result(rank_outputs);
+    if let Some(dir) = options.trace_dir {
+        write_manifest(dir, ranks, &result.crashed_ranks)?;
+    }
+    Ok(result)
 }
 
 /// Shared up-front validation of every distributed entry point.
@@ -332,13 +395,8 @@ pub(crate) fn validate_run(
     Ok(())
 }
 
-/// Fold the per-rank outputs into the run result and (on traced runs)
-/// write the per-rank streams plus manifest.
-fn assemble_result(
-    outputs: Vec<RankOutput>,
-    trace_dir: Option<&std::path::Path>,
-    rank_recs: Option<Vec<Recorder>>,
-) -> Result<DistributedResult, ClusterError> {
+/// Fold the per-rank outputs, in rank order, into the run result.
+fn assemble_result(outputs: Vec<RankOutput>) -> DistributedResult {
     let mut network = None;
     let mut threshold = 0.0;
     let mut crashed_ranks = Vec::new();
@@ -351,245 +409,114 @@ fn assemble_result(
         }
         rank_stats.push(out.stats);
     }
-    let result = DistributedResult {
+    DistributedResult {
         network: network.expect("rank 0 produces the network"),
         threshold,
         rank_stats,
         crashed_ranks,
-    };
-    if let (Some(dir), Some(recs)) = (trace_dir, rank_recs) {
-        write_rank_traces(dir, &recs, &result)?;
     }
-    Ok(result)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_distributed(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
+/// One rank's set-up, the same in every driver — the in-process channel
+/// and TCP rings, and the multi-process coordinator and worker
+/// ([`crate::process`]): a private recorder, enabled only on traced runs,
+/// with the live plane's metrics registry installed as its sink; the
+/// rank's heartbeat duty; and, after the protocol, its closing TCP
+/// counters and trace stream.
+pub(crate) struct RankSetup {
+    rank: usize,
     ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    trace_dir: Option<&std::path::Path>,
-    live: Option<&TelemetryPlane>,
-) -> Result<DistributedResult, ClusterError> {
-    validate_run(matrix, config, ranks, faults)?;
-    let n = matrix.genes();
-    let fabric = Fabric::with_faults(ranks, faults.clone());
-    let rank_recs: Option<Vec<Recorder>> =
-        trace_dir.map(|_| (0..ranks).map(|_| Recorder::enabled()).collect());
-    let duties: Option<Vec<LiveDuty>> = live.map(|p| LiveDuty::for_ranks(p, ranks));
-    let outputs = run_ranks_on(fabric, |ep| {
-        let duty = duties.as_ref().map(|d| &d[ep.rank()]);
-        let mut rank_rec = rank_recs
-            .as_ref()
-            .map_or_else(Recorder::disabled, |recs| recs[ep.rank()].clone());
-        if let Some(d) = duty {
-            rank_rec = rank_rec.with_metrics(Arc::clone(&d.registry) as Arc<dyn MetricsSink>);
+    /// The rank's own recorder: spans, counters and events of this rank
+    /// only.
+    pub(crate) rec: Recorder,
+    duty: Option<LiveDuty>,
+}
+
+impl RankSetup {
+    pub(crate) fn new(rank: usize, ranks: usize, traced: bool, duty: Option<LiveDuty>) -> Self {
+        let mut rec = if traced {
+            Recorder::enabled()
+        } else {
+            Recorder::disabled()
+        };
+        if let Some(d) = &duty {
+            rec = rec.with_metrics(Arc::clone(&d.registry) as Arc<dyn MetricsSink>);
         }
-        // `ep` stays owned by this closure frame: returning drops it,
-        // which closes this rank's channels — the death signal the
-        // survivors' bounded receives detect.
-        rank_main(&ep, matrix, config, n, rec, &rank_rec, peer_timeout, duty)
-    });
-    assemble_result(outputs, trace_dir, rank_recs)
-}
-
-/// Run the full inference distributed over `ranks` ranks talking TCP
-/// over loopback (fault-free). The result is byte-identical to
-/// [`infer_network_distributed`] — the conformance suite pins this.
-///
-/// # Errors
-/// [`ClusterError::Transport`] when the loopback mesh cannot be bound.
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-pub fn infer_network_distributed_tcp(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-) -> Result<DistributedResult, ClusterError> {
-    infer_network_distributed_tcp_faulty(
-        matrix,
-        config,
-        ranks,
-        &FaultInjector::none(),
-        &Recorder::disabled(),
-        DEFAULT_PEER_TIMEOUT,
-    )
-}
-
-/// [`infer_network_distributed_tcp`] over a fault-armed mesh: wire
-/// faults (`refuse`/`cut`/`stall`/`trunc`) act on the real sockets, and
-/// rank crashes surface to survivors as TCP FINs instead of dropped
-/// channels — same recovery protocol, same edge set.
-///
-/// # Errors
-/// [`ClusterError::CoordinatorCrash`] for rank-0 crash plans and
-/// [`ClusterError::Transport`] for mesh establishment failures.
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-pub fn infer_network_distributed_tcp_faulty(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-) -> Result<DistributedResult, ClusterError> {
-    run_distributed_tcp(matrix, config, ranks, faults, rec, peer_timeout, None, None)
-}
-
-/// [`infer_network_distributed_tcp_faulty`] with per-rank trace capture
-/// (same layout as [`infer_network_distributed_traced`]); each rank's
-/// stream additionally carries its `tcp.*` transport counters, so
-/// offline reports can attribute network stalls.
-///
-/// # Errors
-/// As [`infer_network_distributed_tcp_faulty`], plus
-/// [`ClusterError::TraceIo`] when a trace file cannot be written.
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-pub fn infer_network_distributed_tcp_traced(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    trace_dir: &std::path::Path,
-) -> Result<DistributedResult, ClusterError> {
-    run_distributed_tcp(
-        matrix,
-        config,
-        ranks,
-        faults,
-        rec,
-        peer_timeout,
-        Some(trace_dir),
-        None,
-    )
-}
-
-/// [`infer_network_distributed_tcp_faulty`] with the live telemetry
-/// plane attached — the TCP twin of
-/// [`infer_network_distributed_live`]. Heartbeats ride the loopback
-/// sockets as `TELEM` frames (diverted from the protocol stream by the
-/// reader threads), so wire-fault plans *can* target them; the edge set
-/// stays byte-identical to the plane-less run regardless.
-///
-/// # Errors
-/// As [`infer_network_distributed_tcp_faulty`].
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_network_distributed_tcp_live(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    plane: &TelemetryPlane,
-) -> Result<DistributedResult, ClusterError> {
-    run_distributed_tcp(
-        matrix,
-        config,
-        ranks,
-        faults,
-        rec,
-        peer_timeout,
-        None,
-        Some(plane),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_distributed_tcp(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    trace_dir: Option<&std::path::Path>,
-    live: Option<&TelemetryPlane>,
-) -> Result<DistributedResult, ClusterError> {
-    validate_run(matrix, config, ranks, faults)?;
-    let n = matrix.genes();
-    let rank_recs: Option<Vec<Recorder>> =
-        trace_dir.map(|_| (0..ranks).map(|_| Recorder::enabled()).collect());
-    let duties: Option<Vec<LiveDuty>> = live.map(|p| LiveDuty::for_ranks(p, ranks));
-    let outputs = crate::tcp::run_ranks_tcp(ranks, faults, |tp| {
-        let duty = duties.as_ref().map(|d| &d[tp.rank()]);
-        let mut rank_rec = rank_recs
-            .as_ref()
-            .map_or_else(Recorder::disabled, |recs| recs[tp.rank()].clone());
-        if let Some(d) = duty {
-            rank_rec = rank_rec.with_metrics(Arc::clone(&d.registry) as Arc<dyn MetricsSink>);
+        Self {
+            rank,
+            ranks,
+            rec,
+            duty,
         }
-        let out = rank_main(&tp, matrix, config, n, rec, &rank_rec, peer_timeout, duty);
-        // Drain-then-FIN before the counters are read: survivors see
-        // this rank's death (crash or completion) exactly when a
-        // channel-fabric rank would have dropped its endpoint.
-        tp.shutdown();
-        tp.counters().publish(&rank_rec);
-        out
-    })
-    .map_err(|e| ClusterError::Transport {
-        message: e.to_string(),
-    })?;
-    assemble_result(outputs, trace_dir, rank_recs)
+    }
+
+    /// This rank's protocol run over `tp`, recovery events going to
+    /// `rec` (see [`rank_main`]).
+    pub(crate) fn run(
+        &self,
+        tp: &dyn Transport,
+        matrix: &ExpressionMatrix,
+        config: &InferenceConfig,
+        rec: &Recorder,
+        peer_timeout: Duration,
+    ) -> RankOutput {
+        let live = self.duty.as_ref();
+        rank_main(tp, matrix, config, rec, &self.rec, peer_timeout, live)
+    }
+
+    /// Close the rank's stream once its transport is drained: publish
+    /// its `tcp.*` counters (TCP runs) and, when `trace_dir` is set,
+    /// write the stream, stamped with the rank's clock offset, to
+    /// `trace_dir/rank-<r>.ndjson`.
+    pub(crate) fn finish(
+        &self,
+        counters: Option<&TcpCounters>,
+        trace_dir: Option<&Path>,
+        clock_offset_us: i64,
+    ) -> Result<(), ClusterError> {
+        use std::io::Write as _;
+        if let Some(c) = counters {
+            c.publish(&self.rec);
+        }
+        let Some(dir) = trace_dir else {
+            return Ok(());
+        };
+        std::fs::create_dir_all(dir).map_err(|e| trace_io_err(dir, &e))?;
+        let path = dir.join(rank_trace_name(self.rank));
+        let file = std::fs::File::create(&path).map_err(|e| trace_io_err(&path, &e))?;
+        let mut w = std::io::BufWriter::new(file);
+        self.rec
+            .write_ndjson_with_meta(
+                &mut w,
+                &[
+                    ("rank", Value::from(self.rank)),
+                    ("ranks", Value::from(self.ranks)),
+                    ("clock_offset_us", Value::I64(clock_offset_us)),
+                ],
+            )
+            .and_then(|()| w.flush())
+            .map_err(|e| trace_io_err(&path, &e))
+    }
 }
 
-pub(crate) fn trace_io_err(path: &std::path::Path, e: &std::io::Error) -> ClusterError {
+fn trace_io_err(path: &Path, e: &std::io::Error) -> ClusterError {
     ClusterError::TraceIo {
         path: path.display().to_string(),
         message: e.to_string(),
     }
 }
 
-/// Write one rank's NDJSON stream into `dir` (created if absent),
-/// returning the file name written. Shared between the in-process
-/// drivers (all ranks) and the multi-process launcher (each process
-/// writes its own rank's stream).
-pub(crate) fn write_one_rank_trace(
-    dir: &std::path::Path,
-    rank: usize,
-    ranks: usize,
-    clock_offset_us: i64,
-    rank_rec: &Recorder,
-) -> Result<String, ClusterError> {
-    use std::io::Write as _;
-    std::fs::create_dir_all(dir).map_err(|e| trace_io_err(dir, &e))?;
-    let name = format!("rank-{rank}.ndjson");
-    let path = dir.join(&name);
-    let file = std::fs::File::create(&path).map_err(|e| trace_io_err(&path, &e))?;
-    let mut w = std::io::BufWriter::new(file);
-    rank_rec
-        .write_ndjson_with_meta(
-            &mut w,
-            &[
-                ("rank", Value::from(rank)),
-                ("ranks", Value::from(ranks)),
-                ("clock_offset_us", Value::I64(clock_offset_us)),
-            ],
-        )
-        .and_then(|()| w.flush())
-        .map_err(|e| trace_io_err(&path, &e))?;
-    Ok(name)
+fn rank_trace_name(rank: usize) -> String {
+    format!("rank-{rank}.ndjson")
 }
 
-/// Write the coordinator manifest listing the rank streams in `files`.
+/// Write the coordinator manifest into `dir`, listing every rank stream
+/// present there (in a multi-process run, workers on another filesystem
+/// write theirs elsewhere).
 pub(crate) fn write_manifest(
-    dir: &std::path::Path,
+    dir: &Path,
     ranks: usize,
     crashed_ranks: &[usize],
-    files: &[String],
 ) -> Result<(), ClusterError> {
     use gnet_trace::escape_json;
     let mut manifest = String::with_capacity(256);
@@ -603,39 +530,22 @@ pub(crate) fn write_manifest(
         let _ = std::fmt::Write::write_fmt(&mut manifest, format_args!("{r}"));
     }
     manifest.push_str("],\"files\":[");
-    for (i, f) in files.iter().enumerate() {
+    let files = (0..ranks)
+        .map(rank_trace_name)
+        .filter(|name| dir.join(name).exists());
+    for (i, f) in files.enumerate() {
         if i > 0 {
             manifest.push(',');
         }
-        escape_json(&mut manifest, f);
+        escape_json(&mut manifest, &f);
     }
     manifest.push_str("]}\n");
     let path = dir.join("manifest.json");
     std::fs::write(&path, manifest).map_err(|e| trace_io_err(&path, &e))
 }
 
-/// Write every rank's NDJSON stream plus the coordinator manifest into
-/// `dir` (created if absent).
-fn write_rank_traces(
-    dir: &std::path::Path,
-    recs: &[Recorder],
-    result: &DistributedResult,
-) -> Result<(), ClusterError> {
-    let mut files = Vec::with_capacity(recs.len());
-    for (r, rank_rec) in recs.iter().enumerate() {
-        files.push(write_one_rank_trace(
-            dir,
-            r,
-            recs.len(),
-            result.rank_stats[r].clock_offset_us,
-            rank_rec,
-        )?);
-    }
-    write_manifest(dir, recs.len(), &result.crashed_ranks, &files)
-}
-
 /// One rank's share of reassigned work: pooled nulls plus candidates.
-type Share = (PooledNull, Vec<(u32, u32, f64)>);
+type Share = (PooledNull, Vec<Candidate>);
 
 pub(crate) struct RankOutput {
     pub(crate) network: Option<GeneNetwork>,
@@ -868,12 +778,10 @@ fn build_block(
 /// transport and must drop (or shut down) it after this returns — that
 /// drop is the rank-death signal survivors detect, both for the channel
 /// fabric (closed channels) and for TCP (FIN after drain).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rank_main(
+fn rank_main(
     tp: &dyn Transport,
     matrix: &ExpressionMatrix,
     config: &InferenceConfig,
-    n: usize,
     rec: &Recorder,
     rank_rec: &Recorder,
     peer_timeout: Duration,
@@ -881,11 +789,10 @@ pub(crate) fn rank_main(
 ) -> RankOutput {
     let p = tp.size();
     let r = tp.rank();
+    let n = matrix.genes();
     let faults = tp.faults().clone();
-    let (start, end) = block_range(n, p, r);
     let basis = BsplineBasis::new(config.spline_order, config.bins);
     let perms = PermutationSet::generate(matrix.samples(), config.permutations, config.seed);
-    let mut scratch = MiScratch::for_basis(&basis);
     let mut stats = RankStats {
         rank: r,
         ..Default::default()
@@ -930,12 +837,29 @@ pub(crate) fn rank_main(
         stats.clock_offset_us = offset;
         leftover = lo;
     }
+    // Prepare the local block.
+    let t0 = Instant::now();
+    let own = {
+        let _prep_span = rank_rec.span("rank.prep");
+        build_block(matrix, &basis, n, p, r)
+    };
+    busy += t0.elapsed();
+    // Every work unit runs through the shared-memory pipeline's tile
+    // loop, on tiles sized by the same L2 rule.
+    let tile_size = config.resolved_tile_size(n, own.genes[0].heap_bytes());
+    let pair_loop = UnitLoop {
+        perms: &perms,
+        kernel: config.kernel,
+        threshold: config.mi_threshold,
+        tile_size: tile_size as u32,
+    };
+    let mut state = TileState::new(MiScratch::for_basis(&basis));
+
     if r == 0 {
         // Run-shape stamp for offline perf attribution (`gnet
         // trace-report` matches it against a calibrated kernel model).
-        // Each rank's compute is single-threaded and block-decomposed,
-        // so threads=1 and the local block size stand in for the
-        // shared-memory pipeline's pool width and tile size.
+        // Each rank's compute is single-threaded, so threads=1 stands in
+        // for the shared-memory pipeline's pool width.
         rank_rec.event(
             "run.config",
             &[
@@ -951,27 +875,11 @@ pub(crate) fn rank_main(
                     .into(),
                 ),
                 ("threads", Value::from(1u64)),
-                ("tile_size", Value::from(end - start)),
+                ("tile_size", Value::from(tile_size)),
                 ("scheduler", Value::from("ring")),
             ],
         );
     }
-
-    // Prepare the local block.
-    let t0 = Instant::now();
-    let own = {
-        let _prep_span = rank_rec.span("rank.prep");
-        GeneBlock {
-            indices: (start as u32..end as u32).collect(),
-            genes: (start..end)
-                .map(|g| prepare_gene(matrix.gene(g), &basis))
-                .collect(),
-        }
-    };
-    busy += t0.elapsed();
-
-    let mut pooled = PooledNull::new();
-    let mut candidates: Vec<(u32, u32, f64)> = Vec::new();
 
     // ---- Protocol interpreter ----
     //
@@ -1006,8 +914,7 @@ pub(crate) fn rank_main(
     let mut parts: Vec<Option<Bytes>> = vec![None; p];
     let mut supplements: Vec<Option<Share>> = vec![None; p];
     let mut cache: HashMap<usize, GeneBlock> = HashMap::new();
-    let mut sup_pooled = PooledNull::new();
-    let mut sup_candidates: Vec<(u32, u32, f64)> = Vec::new();
+    let mut sup: Share = (PooledNull::new(), Vec::new());
     let mut output: Option<(GeneNetwork, f64, Vec<usize>)> = None;
     let mut ring_span: Option<Span> = None;
     let mut finalize_span: Option<Span> = None;
@@ -1021,15 +928,10 @@ pub(crate) fn rank_main(
                     let t = Instant::now();
                     {
                         let _diag_span = rank_rec.span("rank.diag");
-                        compute_block_pair(
+                        stats.pairs += pair_loop.compute(
                             own.as_ref().expect("own block is live in the ring"),
                             None,
-                            config.kernel,
-                            &perms,
-                            &mut scratch,
-                            &mut pooled,
-                            &mut candidates,
-                            &mut stats.pairs,
+                            &mut state,
                         );
                     }
                     stats.block_pairs += 1;
@@ -1051,7 +953,7 @@ pub(crate) fn rank_main(
                     to,
                     frame: ProtoFrame::Results,
                 } => {
-                    let results = encode_rank_results(&pooled, &candidates);
+                    let results = encode_rank_results(&state.pooled, &state.candidates);
                     tp.send(to, frame(TAG_RESULTS, 0, &results));
                 }
                 Effect::Send {
@@ -1064,7 +966,7 @@ pub(crate) fn rank_main(
                     to,
                     frame: ProtoFrame::Supplement,
                 } => {
-                    let sup = encode_rank_results(&sup_pooled, &sup_candidates);
+                    let sup = encode_rank_results(&sup.0, &sup.1);
                     tp.send(to, frame(TAG_SUPPLEMENT, 0, &sup));
                 }
                 Effect::AcceptBlock => {
@@ -1135,16 +1037,7 @@ pub(crate) fn rank_main(
                     } else {
                         (own_ref, &foreign)
                     };
-                    compute_block_pair(
-                        lo,
-                        Some((hi, half)),
-                        config.kernel,
-                        &perms,
-                        &mut scratch,
-                        &mut pooled,
-                        &mut candidates,
-                        &mut stats.pairs,
-                    );
+                    stats.pairs += pair_loop.compute(lo, Some((hi, half)), &mut state);
                     stats.block_pairs += 1;
                     busy += t.elapsed();
                 }
@@ -1189,22 +1082,18 @@ pub(crate) fn rank_main(
                     if let Some(own_block) = own.take() {
                         cache.insert(r, own_block);
                     }
-                    let share = compute_assigned(
+                    let share = pair_loop.compute_assigned(
                         &units,
                         matrix,
                         &basis,
-                        n,
                         p,
                         &mut cache,
-                        config.kernel,
-                        &perms,
-                        &mut scratch,
                         &mut stats.pairs,
                     );
                     if r == 0 {
                         supplements[0] = Some(share);
                     } else {
-                        (sup_pooled, sup_candidates) = share;
+                        sup = share;
                     }
                     stats.reassigned_block_pairs += units.len();
                     stats.block_pairs += units.len();
@@ -1227,16 +1116,12 @@ pub(crate) fn rank_main(
                     if let Some(own_block) = own.take() {
                         cache.insert(r, own_block);
                     }
-                    supplements[from] = Some(compute_assigned(
+                    supplements[from] = Some(pair_loop.compute_assigned(
                         &units,
                         matrix,
                         &basis,
-                        n,
                         p,
                         &mut cache,
-                        config.kernel,
-                        &perms,
-                        &mut scratch,
                         &mut stats.pairs,
                     ));
                     stats.reassigned_block_pairs += units.len();
@@ -1248,9 +1133,9 @@ pub(crate) fn rank_main(
                     // supplements in rank order. Fault-free, every
                     // supplement is empty and this reduces to the
                     // historical gather-merge bit for bit.
-                    parts[0] = Some(encode_rank_results(&pooled, &candidates));
+                    parts[0] = Some(encode_rank_results(&state.pooled, &state.candidates));
                     let mut merged = PooledNull::new();
-                    let mut all_candidates: Vec<(u32, u32, f64)> = Vec::new();
+                    let mut all_candidates: Vec<Candidate> = Vec::new();
                     for part in std::mem::take(&mut parts).into_iter().flatten() {
                         let (pp, cc) = decode_rank_results(part);
                         merged.merge(&pp);
@@ -1265,14 +1150,14 @@ pub(crate) fn rank_main(
                         Some(t) => t,
                         None => merged.global_threshold(config.alpha, total_pairs.max(1)),
                     };
-                    all_candidates.sort_by_key(|c| (c.0, c.1));
+                    all_candidates.sort_by_key(|c| (c.i, c.j));
                     let network = GeneNetwork::from_edges(
                         n,
                         matrix.gene_names().to_vec(),
                         all_candidates
                             .into_iter()
-                            .filter(|&(_, _, v)| v > threshold)
-                            .map(|(i, j, v)| Edge::new(i, j, v as f32)),
+                            .filter(|c| c.observed > threshold)
+                            .map(|c| Edge::new(c.i, c.j, c.observed as f32)),
                     );
                     output = Some((network, threshold, dead));
                 }
@@ -1367,93 +1252,91 @@ pub(crate) fn rank_main(
     }
 }
 
-/// Recompute reassigned work units from the shared matrix into a fresh
-/// share, each in the same canonical orientation (lower block on the x
-/// side) and over the same half of the higher block as its original
-/// owner — so the recomputed null draws and candidate decisions are
-/// identical to the lost ones.
-#[allow(clippy::too_many_arguments)]
-fn compute_assigned(
-    units: &[WorkUnit],
-    matrix: &ExpressionMatrix,
-    basis: &BsplineBasis,
-    n: usize,
-    p: usize,
-    cache: &mut HashMap<usize, GeneBlock>,
+/// What every work unit of a rank is evaluated with: the shared
+/// pipeline's tile loop ([`process_tile`]) over tiles of `tile_size`
+/// genes.
+struct UnitLoop<'a> {
+    perms: &'a PermutationSet,
     kernel: MiKernel,
-    perms: &PermutationSet,
-    scratch: &mut MiScratch,
-    pair_counter: &mut u64,
-) -> Share {
-    let mut pooled = PooledNull::new();
-    let mut candidates = Vec::new();
-    for &unit in units {
-        for idx in [unit.lo, unit.hi] {
-            cache
-                .entry(idx)
-                .or_insert_with(|| build_block(matrix, basis, n, p, idx));
-        }
-        let y_side = (unit.lo != unit.hi).then(|| (&cache[&unit.hi], unit.half));
-        compute_block_pair(
-            &cache[&unit.lo],
-            y_side,
-            kernel,
-            perms,
-            scratch,
-            &mut pooled,
-            &mut candidates,
-            pair_counter,
-        );
-    }
-    (pooled, candidates)
+    /// `config.mi_threshold`: the same `observed > t` filter rank 0
+    /// applies, so dropping candidates early changes no edge.
+    threshold: Option<f64>,
+    tile_size: u32,
 }
 
-/// Evaluate all pairs between `x_block` and the `half` of the y block's
-/// genes (or within `x_block` when `y_side` is `None`), accumulating
-/// nulls and candidates. Dense expansions of the y genes are built once
-/// per call — the cluster-side analogue of tile reuse.
-#[allow(clippy::too_many_arguments)]
-fn compute_block_pair(
-    x_block: &GeneBlock,
-    y_side: Option<(&GeneBlock, Half)>,
-    kernel: MiKernel,
-    perms: &PermutationSet,
-    scratch: &mut MiScratch,
-    pooled: &mut PooledNull,
-    candidates: &mut Vec<(u32, u32, f64)>,
-    pair_counter: &mut u64,
-) {
-    let (y, (y_start, y_end)) = match y_side {
-        Some((block, half)) => (block, half.range(block.genes.len())),
-        None => (x_block, (0, x_block.genes.len())),
-    };
-    let dense: Vec<_> = y.genes[y_start..y_end]
-        .iter()
-        .map(|g| match kernel {
-            MiKernel::VectorDense => Some(g.to_dense()),
-            MiKernel::ScalarSparse => None,
-        })
-        .collect();
-    for (xi, xg) in x_block.genes.iter().enumerate() {
-        let first = if y_side.is_none() { xi + 1 } else { y_start };
-        for yi in first..y_end {
-            let res = mi_with_nulls(
-                kernel,
-                xg,
-                &y.genes[yi],
-                dense[yi - y_start].as_ref(),
-                perms.as_vecs(),
-                scratch,
-            );
-            pooled.extend(&res.null);
-            *pair_counter += 1;
-            if res.exceed_count() == 0 {
-                let gi = x_block.indices[xi];
-                let gj = y.indices[yi];
-                let (a, b) = if gi < gj { (gi, gj) } else { (gj, gi) };
-                candidates.push((a, b, res.observed));
+impl UnitLoop<'_> {
+    /// Evaluate all pairs between `x_block` and the `half` of the y
+    /// block's genes (or within `x_block` when `y_side` is `None`) tile
+    /// by tile, into `state`. Returns the number of gene pairs
+    /// evaluated.
+    fn compute(
+        &self,
+        x_block: &GeneBlock,
+        y_side: Option<(&GeneBlock, Half)>,
+        state: &mut TileState,
+    ) -> u64 {
+        let rows = span(x_block);
+        let cols = match y_side {
+            Some((y, half)) => {
+                let (s, e) = half.range(y.genes.len());
+                GeneSpan {
+                    genes: &y.genes[s..e],
+                    first: y.indices[0] + s as u32,
+                }
             }
+            None => rows,
+        };
+        let range = |g: GeneSpan<'_>| g.first..g.first + g.genes.len() as u32;
+        let mut pairs = 0;
+        for tile in Tile::cover(range(rows), range(cols), self.tile_size) {
+            process_tile(
+                &tile,
+                rows,
+                cols,
+                self.perms,
+                self.kernel,
+                self.threshold,
+                state,
+            );
+            pairs += tile.pair_count();
         }
+        pairs
+    }
+
+    /// Recompute reassigned work units from the shared matrix into a
+    /// fresh share, each in the same canonical orientation (lower block
+    /// on the x side) and over the same half of the higher block as its
+    /// original owner — so the recomputed null draws and candidate
+    /// decisions are identical to the lost ones.
+    fn compute_assigned(
+        &self,
+        units: &[WorkUnit],
+        matrix: &ExpressionMatrix,
+        basis: &BsplineBasis,
+        p: usize,
+        cache: &mut HashMap<usize, GeneBlock>,
+        pair_counter: &mut u64,
+    ) -> Share {
+        let mut share = TileState::new(MiScratch::for_basis(basis));
+        for &unit in units {
+            for idx in [unit.lo, unit.hi] {
+                cache
+                    .entry(idx)
+                    .or_insert_with(|| build_block(matrix, basis, matrix.genes(), p, idx));
+            }
+            let y_side = (unit.lo != unit.hi).then(|| (&cache[&unit.hi], unit.half));
+            *pair_counter += self.compute(&cache[&unit.lo], y_side, &mut share);
+        }
+        (share.pooled, share.candidates)
+    }
+}
+
+/// A block's genes as a span of global gene indices (blocks are
+/// contiguous: see [`block_range`]).
+fn span(block: &GeneBlock) -> GeneSpan<'_> {
+    GeneSpan {
+        genes: &block.genes,
+        first: block.indices[0],
     }
 }
 
@@ -1499,7 +1382,7 @@ fn decode_assignment(mut bytes: Bytes, p: usize) -> Result<Vec<WorkUnit>, &'stat
         .collect()
 }
 
-fn encode_rank_results(pooled: &PooledNull, candidates: &[(u32, u32, f64)]) -> Bytes {
+fn encode_rank_results(pooled: &PooledNull, candidates: &[Candidate]) -> Bytes {
     let (count, mean, m2, max) = pooled.raw_parts();
     let mut buf = BytesMut::with_capacity(32 + 4 + candidates.len() * 16);
     buf.put_u64_le(count);
@@ -1507,15 +1390,15 @@ fn encode_rank_results(pooled: &PooledNull, candidates: &[(u32, u32, f64)]) -> B
     buf.put_f64_le(m2);
     buf.put_f64_le(max);
     buf.put_u32_le(candidates.len() as u32);
-    for &(i, j, v) in candidates {
-        buf.put_u32_le(i);
-        buf.put_u32_le(j);
-        buf.put_f64_le(v);
+    for c in candidates {
+        buf.put_u32_le(c.i);
+        buf.put_u32_le(c.j);
+        buf.put_f64_le(c.observed);
     }
     buf.freeze()
 }
 
-fn decode_rank_results(mut bytes: Bytes) -> (PooledNull, Vec<(u32, u32, f64)>) {
+fn decode_rank_results(mut bytes: Bytes) -> Share {
     let count = bytes.get_u64_le();
     let mean = bytes.get_f64_le();
     let m2 = bytes.get_f64_le();
@@ -1526,8 +1409,8 @@ fn decode_rank_results(mut bytes: Bytes) -> (PooledNull, Vec<(u32, u32, f64)>) {
     for _ in 0..c {
         let i = bytes.get_u32_le();
         let j = bytes.get_u32_le();
-        let v = bytes.get_f64_le();
-        candidates.push((i, j, v));
+        let observed = bytes.get_f64_le();
+        candidates.push(Candidate { i, j, observed });
     }
     assert!(!bytes.has_remaining(), "trailing bytes in rank results");
     (pooled, candidates)
@@ -1537,6 +1420,7 @@ fn decode_rank_results(mut bytes: Bytes) -> (PooledNull, Vec<(u32, u32, f64)>) {
 mod tests {
     use super::*;
     use crate::comm::Endpoint;
+    use crate::live::TelemetrySpec;
     use crate::protocol::{redistribute, unit_owner, work_units};
     use gnet_core::infer_network;
     use gnet_expr::synth::{coupled_pairs, Coupling};
@@ -1820,9 +1704,13 @@ mod tests {
         plan: &str,
         rec: &Recorder,
     ) -> Result<DistributedResult, ClusterError> {
-        let plan = FaultPlan::parse(plan).expect("test plan parses");
-        let injector = FaultInjector::from_plan(&plan);
-        infer_network_distributed_faulty(matrix, config, ranks, &injector, rec, faulty_timeout())
+        let options = DistributedOptions {
+            faults: FaultInjector::from_plan(&FaultPlan::parse(plan).expect("test plan parses")),
+            recorder: rec.clone(),
+            peer_timeout: faulty_timeout(),
+            ..DistributedOptions::default()
+        };
+        infer_network_distributed_with(matrix, config, ranks, &options)
     }
 
     fn edge_keys(net: &GeneNetwork) -> Vec<(u32, u32)> {
@@ -1932,15 +1820,12 @@ mod tests {
                 inner: ep,
                 sent: std::sync::Mutex::new(Vec::new()),
             };
-            let out = rank_main(
+            let out = RankSetup::new(tap.rank(), ranks, false, None).run(
                 &tap,
                 matrix,
                 &cfg(),
-                matrix.genes(),
-                &Recorder::disabled(),
                 &Recorder::disabled(),
                 faulty_timeout(),
-                None,
             );
             let assigns: AssignLog = tap
                 .sent
@@ -1959,8 +1844,7 @@ mod tests {
             (out, assigns)
         });
         let (outs, assigns): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
-        let result = assemble_result(outs, None, None).expect("untraced assembly");
-        (result, assigns)
+        (assemble_result(outs), assigns)
     }
 
     fn edge_file(net: &GeneNetwork) -> Vec<u8> {
@@ -2144,16 +2028,12 @@ mod tests {
             line!()
         ));
         let baseline = infer_network_distributed(&matrix, &cfg(), 4);
-        let dist = infer_network_distributed_traced(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::none(),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-            &dir,
-        )
-        .expect("traced fault-free run succeeds");
+        let options = DistributedOptions {
+            trace_dir: Some(&dir),
+            ..DistributedOptions::default()
+        };
+        let dist = infer_network_distributed_with(&matrix, &cfg(), 4, &options)
+            .expect("traced fault-free run succeeds");
         // Tracing must not perturb the result.
         assert_eq!(edge_keys(&dist.network), edge_keys(&baseline.network));
 
@@ -2194,16 +2074,15 @@ mod tests {
         ));
         let baseline = infer_network_distributed(&matrix, &cfg(), 4);
         let plan = FaultPlan::parse("seed=7;crash(rank=2,round=1)").expect("plan parses");
-        let dist = infer_network_distributed_traced(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::from_plan(&plan),
-            &Recorder::enabled(),
-            faulty_timeout(),
-            &dir,
-        )
-        .expect("crash is survivable under tracing");
+        let options = DistributedOptions {
+            faults: FaultInjector::from_plan(&plan),
+            recorder: Recorder::enabled(),
+            peer_timeout: faulty_timeout(),
+            trace_dir: Some(&dir),
+            ..DistributedOptions::default()
+        };
+        let dist = infer_network_distributed_with(&matrix, &cfg(), 4, &options)
+            .expect("crash is survivable under tracing");
         assert_eq!(dist.crashed_ranks, vec![2]);
         assert_eq!(edge_keys(&dist.network), edge_keys(&baseline.network));
         // The crashed rank still leaves a (partial) stream behind.
@@ -2219,30 +2098,6 @@ mod tests {
     // ---- TCP transport acceptance ----
 
     #[test]
-    fn tcp_run_matches_channel_run_byte_for_byte() {
-        let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 42);
-        for ranks in [2usize, 4] {
-            let channel = infer_network_distributed(&matrix, &cfg(), ranks);
-            let tcp = infer_network_distributed_tcp(&matrix, &cfg(), ranks)
-                .expect("loopback TCP mesh establishes");
-            assert_eq!(
-                edge_keys(&tcp.network),
-                edge_keys(&channel.network),
-                "{ranks} TCP ranks changed the edge set"
-            );
-            for (x, y) in tcp.network.edges().iter().zip(channel.network.edges()) {
-                assert_eq!(
-                    x.weight.to_bits(),
-                    y.weight.to_bits(),
-                    "{ranks} TCP ranks: weights must be bit-identical"
-                );
-            }
-            assert_eq!(tcp.threshold.to_bits(), channel.threshold.to_bits());
-            assert!(tcp.crashed_ranks.is_empty());
-        }
-    }
-
-    #[test]
     fn tcp_survives_the_acceptance_plan_crash_plus_midframe_cut() {
         // The PR's acceptance scenario: a 4-rank loopback-TCP run where
         // one rank is killed mid-round AND a first frame on the 3→0 edge
@@ -2253,15 +2108,15 @@ mod tests {
         let plan = FaultPlan::parse("seed=7;crash(rank=2,round=1);cut(from=3,to=0,nth=1)")
             .expect("acceptance plan parses");
         let rec = Recorder::enabled();
-        let dist = infer_network_distributed_tcp_faulty(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::from_plan_traced(&plan, &rec),
-            &rec,
-            faulty_timeout(),
-        )
-        .expect("crash + mid-frame cut must be survivable over TCP");
+        let options = DistributedOptions {
+            transport: RingTransport::Tcp,
+            faults: FaultInjector::from_plan_traced(&plan, &rec),
+            recorder: rec.clone(),
+            peer_timeout: faulty_timeout(),
+            ..DistributedOptions::default()
+        };
+        let dist = infer_network_distributed_with(&matrix, &cfg(), 4, &options)
+            .expect("crash + mid-frame cut must be survivable over TCP");
         // Rank 2 died; rank 3's severed edge makes the census presume it
         // dead too (its RESULTS can never reach rank 0).
         assert_eq!(dist.crashed_ranks, vec![2, 3]);
@@ -2279,58 +2134,134 @@ mod tests {
         );
     }
 
-    #[test]
-    fn tcp_traced_run_carries_transport_counters_in_rank_streams() {
-        let (matrix, _) = coupled_pairs(8, 120, Coupling::Linear(0.8), 17);
-        let dir = std::env::temp_dir().join(format!(
-            "gnet-cluster-trace-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let baseline = infer_network_distributed(&matrix, &cfg(), 4);
-        let dist = infer_network_distributed_tcp_traced(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::none(),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-            &dir,
-        )
-        .expect("traced TCP run succeeds");
-        assert_eq!(edge_keys(&dist.network), edge_keys(&baseline.network));
-        for r in 0..4 {
-            let text = std::fs::read_to_string(dir.join(format!("rank-{r}.ndjson")))
-                .expect("rank stream written");
-            for counter in ["tcp.frames_sent", "tcp.frames_recv", "tcp.frame_bytes_sent"] {
-                assert!(
-                    text.contains(&format!("\"name\":\"{counter}\"")),
-                    "rank {r} stream missing {counter}"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
+    /// One scenario of the single driver, run over both transports.
+    struct Case {
+        ranks: usize,
+        plan: &'static str,
+        crashed: &'static [usize],
+        traced: bool,
+        live: bool,
     }
 
     #[test]
-    fn unarmed_faulty_entry_point_is_bit_identical_to_plain() {
-        let (matrix, _) = coupled_pairs(12, 180, Coupling::Linear(0.35), 321);
-        let plain = infer_network_distributed(&matrix, &cfg(), 4);
-        let via_faulty = infer_network_distributed_faulty(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::none(),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-        )
-        .expect("fault-free run");
-        assert_eq!(plain.threshold.to_bits(), via_faulty.threshold.to_bits());
-        let a: Vec<_> = plain.network.edges().iter().map(|e| e.key()).collect();
-        let b: Vec<_> = via_faulty.network.edges().iter().map(|e| e.key()).collect();
-        assert_eq!(a, b);
-        for (x, y) in plain.network.edges().iter().zip(via_faulty.network.edges()) {
-            assert_eq!(x.weight.to_bits(), y.weight.to_bits());
+    fn one_driver_gives_identical_results_over_both_transports() {
+        let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 42);
+        let root = std::env::temp_dir().join(format!(
+            "gnet-cluster-driver-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let plain = |ranks| Case {
+            ranks,
+            plan: "",
+            crashed: &[],
+            traced: false,
+            live: false,
+        };
+        let cases = [
+            plain(1),
+            plain(2),
+            plain(3),
+            plain(4),
+            Case {
+                plan: "seed=7;crash(rank=1,round=1)",
+                crashed: &[1],
+                ..plain(2)
+            },
+            Case {
+                plan: "seed=7;crash(rank=2,round=1)",
+                crashed: &[2],
+                ..plain(4)
+            },
+            Case {
+                traced: true,
+                ..plain(4)
+            },
+            Case {
+                live: true,
+                ..plain(3)
+            },
+        ];
+        let pairs = (matrix.genes() * (matrix.genes() - 1) / 2) as u64;
+        for (k, case) in cases.iter().enumerate() {
+            let plain_run = infer_network_distributed(&matrix, &cfg(), case.ranks);
+            let baseline = edge_file(&plain_run.network);
+            let mut thresholds = Vec::new();
+            for transport in [RingTransport::Channel, RingTransport::Tcp] {
+                let label = format!("case {k} ({} ranks) over {transport:?}", case.ranks);
+                let dir = root.join(format!("{k}-{transport:?}"));
+                let spec = TelemetrySpec::with_interval(Duration::from_millis(5));
+                let mut plane = case.live.then(|| {
+                    TelemetryPlane::start(&spec, case.ranks, pairs).expect("plane starts")
+                });
+                let faults = if case.plan.is_empty() {
+                    FaultInjector::none()
+                } else {
+                    FaultInjector::from_plan(&FaultPlan::parse(case.plan).expect("plan parses"))
+                };
+                let options = DistributedOptions {
+                    transport,
+                    faults,
+                    peer_timeout: if case.plan.is_empty() {
+                        DEFAULT_PEER_TIMEOUT
+                    } else {
+                        faulty_timeout()
+                    },
+                    trace_dir: case.traced.then_some(dir.as_path()),
+                    live: plane.as_ref(),
+                    ..DistributedOptions::default()
+                };
+                let run = infer_network_distributed_with(&matrix, &cfg(), case.ranks, &options)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(edge_file(&run.network), baseline, "{label}: edge file");
+                assert_eq!(run.crashed_ranks, case.crashed, "{label}");
+                if case.plan.is_empty() {
+                    // Neither tracing nor the live plane perturbs the
+                    // pooled null.
+                    assert_eq!(
+                        run.threshold.to_bits(),
+                        plain_run.threshold.to_bits(),
+                        "{label}"
+                    );
+                }
+                thresholds.push(run.threshold.to_bits());
+                if case.traced {
+                    let manifest = std::fs::read_to_string(dir.join("manifest.json"))
+                        .expect("manifest written");
+                    for r in 0..case.ranks {
+                        assert!(
+                            manifest.contains(&format!("\"rank-{r}.ndjson\"")),
+                            "{label}"
+                        );
+                        let text = std::fs::read_to_string(dir.join(format!("rank-{r}.ndjson")))
+                            .expect("rank stream written");
+                        // TCP streams also carry the rank's transport
+                        // counters, for attributing network stalls.
+                        for counter in
+                            ["tcp.frames_sent", "tcp.frames_recv", "tcp.frame_bytes_sent"]
+                        {
+                            let present = text.contains(&format!("\"name\":\"{counter}\""));
+                            assert_eq!(
+                                present,
+                                transport == RingTransport::Tcp,
+                                "{label}: {counter}"
+                            );
+                        }
+                    }
+                }
+                if let Some(plane) = plane.as_mut() {
+                    plane.finish().expect("no status file to fail on");
+                    let view = plane.view();
+                    let v = crate::live::lock_view(&view);
+                    assert!(v.is_done(), "{label}: finish freezes the view as done");
+                    assert!(v.pairs_done() > 0, "{label}: beats carried pair progress");
+                    for r in v.ranks() {
+                        assert!(r.beats >= 1, "{label}: rank {} never beat", r.rank);
+                    }
+                }
+            }
+            assert_eq!(thresholds[0], thresholds[1], "case {k}: thresholds differ");
         }
+        std::fs::remove_dir_all(&root).ok();
     }
 }

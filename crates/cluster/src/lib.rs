@@ -15,8 +15,18 @@
 //! * [`distributed`] — the TINGe-style algorithm: genes block-distributed
 //!   over ranks, ring-pass of gene blocks so each work unit (a block
 //!   pair, or half of an antipodal one) is computed by exactly one owner
-//!   rank, mergeable pooled-null reduction to rank 0, and a final gather
-//!   of candidate edges.
+//!   rank, through the shared-memory pipeline's L2 tile loop
+//!   ([`gnet_core::pipeline::process_tile`]), mergeable pooled-null
+//!   reduction to rank 0, and a final gather of candidate edges.
+//!
+//! There are three in-process entry points: the fault-free
+//! [`infer_network_distributed`] (channels) and
+//! [`infer_network_distributed_tcp`] (loopback TCP), and
+//! [`infer_network_distributed_with`], which takes one
+//! [`DistributedOptions`] value — transport, fault injector, recorder,
+//! peer timeout, trace directory and live plane — and is the single
+//! driver both conveniences call. [`process`] runs the same rank loop
+//! across processes ([`serve_coordinator`], [`run_worker`]).
 //!
 //! The distributed result is bit-identical in edge structure to the
 //! shared-memory pipeline (asserted in tests across rank counts), which
@@ -47,10 +57,8 @@ pub mod transport;
 pub use codec::CodecError;
 pub use comm::{run_ranks, run_ranks_on, CommStats, Endpoint, Fabric, RecvTimeoutError};
 pub use distributed::{
-    infer_network_distributed, infer_network_distributed_faulty, infer_network_distributed_live,
-    infer_network_distributed_tcp, infer_network_distributed_tcp_faulty,
-    infer_network_distributed_tcp_live, infer_network_distributed_tcp_traced,
-    infer_network_distributed_traced, ClusterError, DistributedResult, RankStats,
+    infer_network_distributed, infer_network_distributed_tcp, infer_network_distributed_with,
+    ClusterError, DistributedOptions, DistributedResult, RankStats, RingTransport,
     DEFAULT_PEER_TIMEOUT,
 };
 pub use live::{TelemetryPlane, TelemetrySpec};

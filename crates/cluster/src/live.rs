@@ -56,7 +56,7 @@ pub(crate) fn is_telem(payload: &[u8]) -> bool {
 
 /// Poison-tolerant lock: the view holds plain data, so a panicked
 /// scraper thread leaves it merely stale, never structurally invalid.
-fn lock_view(view: &Mutex<ClusterView>) -> MutexGuard<'_, ClusterView> {
+pub(crate) fn lock_view(view: &Mutex<ClusterView>) -> MutexGuard<'_, ClusterView> {
     view.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -226,7 +226,7 @@ impl Drop for TelemetryPlane {
 }
 
 /// One rank's live-telemetry assignment, handed into the protocol loop
-/// by the `*_live` entry points.
+/// by every driver that runs with a live plane.
 pub(crate) struct LiveDuty {
     /// This rank's metrics registry (also installed as the rank
     /// recorder's [`gnet_trace::MetricsSink`]).
@@ -239,16 +239,14 @@ pub(crate) struct LiveDuty {
 }
 
 impl LiveDuty {
-    /// Duties for an in-process run: one registry per rank, the plane's
-    /// view attached to rank 0.
-    pub(crate) fn for_ranks(plane: &TelemetryPlane, ranks: usize) -> Vec<Self> {
-        (0..ranks)
-            .map(|r| Self {
-                registry: Arc::new(MetricsRegistry::new()),
-                interval: plane.interval(),
-                view: (r == 0).then(|| plane.view()),
-            })
-            .collect()
+    /// A duty with a fresh registry, beating every `interval`; `view` is
+    /// the plane's view on the rank that holds it (rank 0), else `None`.
+    pub(crate) fn new(interval: Duration, view: Option<Arc<Mutex<ClusterView>>>) -> Self {
+        Self {
+            registry: Arc::new(MetricsRegistry::new()),
+            interval,
+            view,
+        }
     }
 }
 
@@ -341,14 +339,14 @@ pub(crate) fn live_mark_dead(duty: &LiveDuty, rank: usize) {
 mod tests {
     use super::*;
     use crate::distributed::{
-        infer_network_distributed, infer_network_distributed_live, infer_network_distributed_tcp,
-        infer_network_distributed_tcp_live, DEFAULT_PEER_TIMEOUT,
+        infer_network_distributed_tcp, infer_network_distributed_with, DistributedOptions,
+        DistributedResult, RingTransport,
     };
     use gnet_core::InferenceConfig;
     use gnet_expr::synth::{coupled_pairs, Coupling};
+    use gnet_expr::ExpressionMatrix;
     use gnet_fault::{Fault, FaultInjector, FaultPlan};
     use gnet_graph::GeneNetwork;
-    use gnet_trace::Recorder;
     use std::io::{Read as _, Write as _};
 
     fn cfg() -> InferenceConfig {
@@ -371,6 +369,23 @@ mod tests {
         (genes as u64) * (genes as u64 - 1) / 2
     }
 
+    /// A run with `plane` attached and `faults` injected.
+    fn run_live(
+        matrix: &ExpressionMatrix,
+        ranks: usize,
+        transport: RingTransport,
+        faults: FaultInjector,
+        plane: &TelemetryPlane,
+    ) -> DistributedResult {
+        let options = DistributedOptions {
+            transport,
+            faults,
+            live: Some(plane),
+            ..DistributedOptions::default()
+        };
+        infer_network_distributed_with(matrix, &cfg(), ranks, &options).expect("live run completes")
+    }
+
     #[test]
     fn telem_frames_are_recognized_by_tag_and_length() {
         let beat = frame(TAG_TELEM, 0, b"beat");
@@ -388,38 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn live_plane_does_not_perturb_channel_results() {
-        let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 77);
-        let baseline = infer_network_distributed(&matrix, &cfg(), 4);
-        let spec = TelemetrySpec::with_interval(Duration::from_millis(5));
-        let mut plane = TelemetryPlane::start(&spec, 4, pairs_total(6)).expect("plane starts");
-        let live = infer_network_distributed_live(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::none(),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-            &plane,
-        )
-        .expect("live run completes");
-        assert_eq!(
-            edge_bits(&live.network),
-            edge_bits(&baseline.network),
-            "telemetry must never change the edge set"
-        );
-        assert_eq!(live.threshold.to_bits(), baseline.threshold.to_bits());
-        plane.finish().expect("no status file to fail on");
-        let view = plane.view();
-        let v = lock_view(&view);
-        assert!(v.is_done(), "finish freezes the view as done");
-        assert!(v.pairs_done() > 0, "beats carried pair progress");
-        for r in v.ranks() {
-            assert!(r.beats >= 1, "rank {} never beat", r.rank);
-        }
-    }
-
-    #[test]
     fn live_plane_does_not_perturb_tcp_results_and_serves_scrapes() {
         let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 78);
         let baseline = infer_network_distributed_tcp(&matrix, &cfg(), 4).expect("baseline runs");
@@ -430,16 +413,13 @@ mod tests {
         };
         let mut plane = TelemetryPlane::start(&spec, 4, pairs_total(6)).expect("plane starts");
         let addr = plane.status_addr().expect("listener bound");
-        let live = infer_network_distributed_tcp_live(
+        let live = run_live(
             &matrix,
-            &cfg(),
             4,
-            &FaultInjector::none(),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
+            RingTransport::Tcp,
+            FaultInjector::none(),
             &plane,
-        )
-        .expect("live run completes");
+        );
         assert_eq!(
             edge_bits(&live.network),
             edge_bits(&baseline.network),
@@ -469,16 +449,13 @@ mod tests {
         });
         let spec = TelemetrySpec::with_interval(Duration::from_millis(5));
         let mut plane = TelemetryPlane::start(&spec, 4, pairs_total(6)).expect("plane starts");
-        let live = infer_network_distributed_tcp_live(
+        let live = run_live(
             &matrix,
-            &cfg(),
             4,
-            &FaultInjector::from_plan(&plan),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
+            RingTransport::Tcp,
+            FaultInjector::from_plan(&plan),
             &plane,
-        )
-        .expect("stalled run still completes");
+        );
         assert_eq!(
             edge_bits(&live.network),
             edge_bits(&baseline.network),
@@ -510,16 +487,13 @@ mod tests {
         });
         let spec = TelemetrySpec::with_interval(Duration::from_millis(5));
         let mut plane = TelemetryPlane::start(&spec, 4, pairs_total(6)).expect("plane starts");
-        let live = infer_network_distributed_tcp_live(
+        let live = run_live(
             &matrix,
-            &cfg(),
             4,
-            &FaultInjector::from_plan(&plan),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
+            RingTransport::Tcp,
+            FaultInjector::from_plan(&plan),
             &plane,
-        )
-        .expect("run completes despite the severed wire");
+        );
         assert_eq!(
             edge_bits(&live.network),
             edge_bits(&baseline.network),
@@ -548,16 +522,13 @@ mod tests {
             interval: Duration::from_millis(5),
         };
         let mut plane = TelemetryPlane::start(&spec, 3, pairs_total(6)).expect("plane starts");
-        infer_network_distributed_live(
+        run_live(
             &matrix,
-            &cfg(),
             3,
-            &FaultInjector::none(),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
+            RingTransport::Channel,
+            FaultInjector::none(),
             &plane,
-        )
-        .expect("live run completes");
+        );
         plane.finish().expect("final status write succeeds");
         let doc = std::fs::read_to_string(&path).expect("status file exists");
         assert!(doc.contains("\"state\":\"done\""), "{doc}");

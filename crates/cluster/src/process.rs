@@ -50,8 +50,8 @@
 //! cost this crate a dependency edge on the parallel runtime.
 
 use crate::distributed::{
-    frame, parse_frame, rank_main, validate_run, write_manifest, write_one_rank_trace,
-    ClusterError, DistributedResult, RankStats, TAG_STATS,
+    frame, parse_frame, validate_run, write_manifest, ClusterError, DistributedResult, RankSetup,
+    RankStats, TAG_STATS,
 };
 use crate::live::{LiveDuty, TelemetryPlane};
 use crate::tcp::{accept_peer, dial, RetryPolicy, TcpCounters, TcpTransport};
@@ -62,8 +62,6 @@ use gnet_core::InferenceConfig;
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::{FaultInjector, FaultPlan, SplitMix64};
 use gnet_mi::MiKernel;
-use gnet_telemetry::MetricsRegistry;
-use gnet_trace::MetricsSink;
 use gnet_trace::Recorder;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
@@ -455,21 +453,14 @@ pub fn serve_coordinator(
     assert!(ranks >= 2, "a multi-process run needs at least one worker");
     let plan_string = plan.map(ToString::to_string).unwrap_or_default();
     let traced = trace_dir.is_some();
-    let mut rank_rec = if traced {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
     let telem_interval_us = live.map_or(0, |p| p.interval().as_micros() as u64);
-    let duty = live.map(|p| LiveDuty {
-        registry: Arc::new(MetricsRegistry::new()),
-        interval: p.interval(),
-        view: Some(p.view()),
-    });
-    if let Some(d) = &duty {
-        rank_rec = rank_rec.with_metrics(Arc::clone(&d.registry) as Arc<dyn MetricsSink>);
-    }
-    let faults = injector_from_plan(&plan_string, &rank_rec)?;
+    let setup = RankSetup::new(
+        0,
+        ranks,
+        traced,
+        live.map(|p| LiveDuty::new(p.interval(), Some(p.view()))),
+    );
+    let faults = injector_from_plan(&plan_string, &setup.rec)?;
     validate_run(matrix, config, ranks, &faults)?;
 
     // Phase 1: HELLO — ranks assigned in arrival order.
@@ -514,16 +505,7 @@ pub fn serve_coordinator(
     streams.extend(controls.into_iter().map(Some));
     let tp = TcpTransport::from_streams(0, ranks, streams, faults, Arc::clone(&counters))
         .map_err(transport_err)?;
-    let out = rank_main(
-        &tp,
-        matrix,
-        config,
-        matrix.genes(),
-        rec,
-        &rank_rec,
-        peer_timeout,
-        duty.as_ref(),
-    );
+    let out = setup.run(&tp, matrix, config, rec, peer_timeout);
 
     // Phase 5: collect worker STATS, synthesizing crashed stats for
     // workers that never report (killed processes, severed links, and
@@ -535,7 +517,7 @@ pub fn serve_coordinator(
         *slot = collect_stats(&tp, r);
     }
     tp.shutdown();
-    counters.publish(&rank_rec);
+    setup.finish(Some(&counters), trace_dir, out.stats.clock_offset_us)?;
 
     let result = DistributedResult {
         network: out
@@ -546,12 +528,7 @@ pub fn serve_coordinator(
         crashed_ranks: out.dead,
     };
     if let Some(dir) = trace_dir {
-        write_one_rank_trace(dir, 0, ranks, 0, &rank_rec)?;
-        let files: Vec<String> = (0..ranks)
-            .map(|r| format!("rank-{r}.ndjson"))
-            .filter(|name| dir.join(name).exists())
-            .collect();
-        write_manifest(dir, ranks, &result.crashed_ranks, &files)?;
+        write_manifest(dir, ranks, &result.crashed_ranks)?;
     }
     Ok(result)
 }
@@ -637,24 +614,18 @@ pub fn run_worker(
     } = decode_welcome(welcome_blob)?;
     config.validate();
 
-    let mut rank_rec = if traced {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
     // Workers never hold the cluster view: beats go to rank 0 in-band.
-    let duty = (telem_interval_us > 0).then(|| LiveDuty {
-        registry: Arc::new(MetricsRegistry::new()),
-        interval: Duration::from_micros(telem_interval_us),
-        view: None,
-    });
-    if let Some(d) = &duty {
-        rank_rec = rank_rec.with_metrics(Arc::clone(&d.registry) as Arc<dyn MetricsSink>);
-    }
+    let setup = RankSetup::new(
+        rank,
+        size,
+        traced,
+        (telem_interval_us > 0)
+            .then(|| LiveDuty::new(Duration::from_micros(telem_interval_us), None)),
+    );
     // Each process rebuilds the injector from the shared plan string;
     // all consultations are local to the faulting side, so the plans
     // compose across processes exactly as they do in one process.
-    let faults = injector_from_plan(&plan, &rank_rec)?;
+    let faults = injector_from_plan(&plan, &setup.rec)?;
 
     // Mesh: the control stream is the rank↔0 link; dial lower workers,
     // accept higher ones.
@@ -681,28 +652,15 @@ pub fn run_worker(
 
     // Protocol. There is no shared recorder across processes, so
     // recovery events land in this rank's own stream.
-    let out = rank_main(
-        &tp,
-        &matrix,
-        &config,
-        matrix.genes(),
-        &rank_rec,
-        &rank_rec,
-        peer_timeout,
-        duty.as_ref(),
-    );
+    let out = setup.run(&tp, &matrix, &config, &setup.rec, peer_timeout);
 
     // Trace before STATS: by the time the coordinator can observe this
     // rank finished, the stream file is already durable.
-    counters.publish(&rank_rec);
-    if traced {
-        let dir = trace_dir_override
-            .map(std::path::Path::to_path_buf)
-            .or_else(|| (!trace_dir.is_empty()).then(|| std::path::PathBuf::from(&trace_dir)));
-        if let Some(dir) = &dir {
-            write_one_rank_trace(dir, rank, size, out.stats.clock_offset_us, &rank_rec)?;
-        }
-    }
+    let dir = trace_dir_override
+        .map(std::path::Path::to_path_buf)
+        .or_else(|| (!trace_dir.is_empty()).then(|| std::path::PathBuf::from(&trace_dir)))
+        .filter(|_| traced);
+    setup.finish(Some(&counters), dir.as_deref(), out.stats.clock_offset_us)?;
     // A simulated-crash rank is dead to the cluster: it must not speak
     // again (and mid-protocol STATS could be consumed by the
     // coordinator's census). Its FIN below is the death signal; the

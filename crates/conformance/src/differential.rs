@@ -30,8 +30,8 @@ use crate::corpus::DatasetSpec;
 use crate::TolerancePolicy;
 use gnet_bspline::{BsplineBasis, DenseWeights};
 use gnet_cluster::{
-    infer_network_distributed, infer_network_distributed_faulty, infer_network_distributed_tcp,
-    DistributedResult, DEFAULT_PEER_TIMEOUT,
+    infer_network_distributed, infer_network_distributed_tcp, infer_network_distributed_with,
+    DistributedOptions, DistributedResult,
 };
 use gnet_core::checkpoint::infer_network_resumable;
 use gnet_core::{infer_network, InferenceConfig, InferenceResult};
@@ -43,7 +43,6 @@ use gnet_parallel::{compute_pairwise, pair_index, SchedulerPolicy};
 use gnet_permute::PermutationSet;
 use gnet_simd::dispatch::{with_forced, Backend};
 use gnet_simd::RowPerms;
-use gnet_trace::Recorder;
 
 /// What one oracle found on one dataset.
 pub(crate) struct OracleOutcome {
@@ -339,14 +338,11 @@ pub(crate) fn recovery_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> Ora
         let clean_d = infer_network_distributed(&matrix, &dcfg, 4);
         let plan = FaultPlan::parse("seed=1;crash(rank=2,round=1)")
             .unwrap_or_else(|e| unreachable!("static plan parses: {e}"));
-        let crashed = match infer_network_distributed_faulty(
-            &matrix,
-            &dcfg,
-            4,
-            &FaultInjector::from_plan(&plan),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-        ) {
+        let options = DistributedOptions {
+            faults: FaultInjector::from_plan(&plan),
+            ..DistributedOptions::default()
+        };
+        let crashed = match infer_network_distributed_with(&matrix, &dcfg, 4, &options) {
             Ok(r) => r,
             Err(e) => {
                 return OracleOutcome::fail(

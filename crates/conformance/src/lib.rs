@@ -16,7 +16,7 @@
 //! | `incremental` | gene/sample appends vs batch rebuild, frontier pair | bitwise    |
 //! |               | count, tiled schedulers, `{2,4}`-rank ring          |            |
 //!
-//! Failures shrink to a minimal dataset ([`shrink`]) and the report
+//! Failures shrink to a minimal dataset (the `shrink` module) and the report
 //! carries the replay seed that rebuilds it. [`run_self_check`] closes
 //! the loop: it injects the four kernel mutations from
 //! [`gnet_mi::mutation`] and the three incremental-update mutations from

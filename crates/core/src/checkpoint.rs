@@ -13,7 +13,7 @@
 //! decisions mid-run.
 
 use crate::config::{InferenceConfig, NullStrategy};
-use crate::pipeline::{process_tile, ThreadState as WorkerState};
+use crate::pipeline::{process_tile, GeneSpan, TileState};
 use crate::result::{InferenceResult, RunStats};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
@@ -181,11 +181,12 @@ pub fn infer_network_resumable_traced(
             chunk,
             threads,
             config.scheduler,
-            |_tid| WorkerState::new(MiScratch::for_basis(&basis)),
+            |_tid| TileState::new(MiScratch::for_basis(&basis)),
             |state, tile| {
                 process_tile(
                     tile,
-                    &prepared,
+                    GeneSpan::all(&prepared),
+                    GeneSpan::all(&prepared),
                     &perms,
                     config.kernel,
                     config.mi_threshold,

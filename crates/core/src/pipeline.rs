@@ -8,7 +8,8 @@ use gnet_graph::{Edge, GeneNetwork};
 use gnet_mi::{
     mi_with_nulls, mi_with_nulls_early_exit, prepare_gene, MiKernel, MiScratch, PreparedGene,
 };
-use gnet_parallel::{execute_tiles_traced, Tile, TileSpace};
+pub use gnet_parallel::Tile;
+use gnet_parallel::{execute_tiles_traced, TileSpace};
 use gnet_permute::{PermutationSet, PooledNull};
 use gnet_trace::Recorder;
 use std::time::Instant;
@@ -16,31 +17,59 @@ use std::time::Instant;
 /// A pair that beat all of its own permutation nulls, awaiting the global
 /// threshold.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Candidate {
-    pub(crate) i: u32,
-    pub(crate) j: u32,
-    pub(crate) observed: f64,
+pub struct Candidate {
+    /// Lower gene index.
+    pub i: u32,
+    /// Higher gene index.
+    pub j: u32,
+    /// Observed mutual information of the pair.
+    pub observed: f64,
 }
 
-/// Per-thread worker state: kernel scratch, the mergeable pooled-null
-/// accumulator, and this thread's candidate edges.
-pub(crate) struct ThreadState {
-    pub(crate) scratch: MiScratch,
-    pub(crate) pooled: PooledNull,
-    pub(crate) candidates: Vec<Candidate>,
-    pub(crate) joints: u64,
+/// What a tile loop writes into: kernel scratch, the mergeable
+/// pooled-null accumulator, and the candidate edges found so far. One per
+/// worker thread in the shared-memory executor, one per rank in the ring.
+pub struct TileState {
+    /// Kernel scratch, reused across pairs.
+    pub scratch: MiScratch,
+    /// Every null value seen, pooled.
+    pub pooled: PooledNull,
+    /// Pairs that beat all of their own nulls.
+    pub candidates: Vec<Candidate>,
+    /// Joint evaluations (observed + nulls) performed.
+    pub joints: u64,
 }
 
-impl ThreadState {
-    /// Fresh state around a kernel scratch (used by the checkpointing
-    /// driver, which shares this worker).
-    pub(crate) fn new(scratch: MiScratch) -> Self {
+impl TileState {
+    /// Fresh state around a kernel scratch.
+    pub fn new(scratch: MiScratch) -> Self {
         Self {
             scratch,
             pooled: PooledNull::new(),
             candidates: Vec::new(),
             joints: 0,
         }
+    }
+}
+
+/// Consecutive prepared genes and the global index of the first: one
+/// side (rows or columns) of the pairs a tile covers.
+#[derive(Clone, Copy)]
+pub struct GeneSpan<'a> {
+    /// The prepared genes.
+    pub genes: &'a [PreparedGene],
+    /// Global index of `genes[0]`.
+    pub first: u32,
+}
+
+impl<'a> GeneSpan<'a> {
+    /// Every gene of the run, starting at global index 0.
+    pub fn all(genes: &'a [PreparedGene]) -> Self {
+        Self { genes, first: 0 }
+    }
+
+    fn gene(&self, g: u32) -> &'a PreparedGene {
+        &self.genes[(g - self.first) as usize]
     }
 }
 
@@ -268,17 +297,13 @@ pub fn infer_network_traced(
         space.tiles(),
         threads,
         config.scheduler,
-        |_tid| ThreadState {
-            scratch: MiScratch::for_basis(basis_ref),
-            pooled: PooledNull::new(),
-            candidates: Vec::new(),
-            joints: 0,
-        },
+        |_tid| TileState::new(MiScratch::for_basis(basis_ref)),
         |state, tile| match strategy {
             NullStrategy::ExactFull => {
                 process_tile(
                     tile,
-                    prepared_ref,
+                    GeneSpan::all(prepared_ref),
+                    GeneSpan::all(prepared_ref),
                     perms_ref,
                     kernel,
                     explicit_threshold,
@@ -366,51 +391,50 @@ pub fn infer_network_traced(
     InferenceResult { network, stats }
 }
 
-/// Process one tile: expand the tile's column genes into the dense layout
-/// once (vector kernel only), then evaluate every pair with its nulls.
-pub(crate) fn process_tile(
+/// The dense layout of a tile's column genes (vector kernel only),
+/// expanded once per tile and indexed by `j − tile.col_start`.
+fn dense_columns(tile: &Tile, cols: GeneSpan<'_>, kernel: MiKernel) -> Vec<DenseWeights> {
+    match kernel {
+        MiKernel::VectorDense => (tile.col_start..tile.col_end)
+            .map(|j| cols.gene(j).to_dense())
+            .collect(),
+        MiKernel::ScalarSparse => Vec::new(),
+    }
+}
+
+/// Process one tile, the one pair loop of every executor: expand the
+/// tile's column genes into the dense layout once (vector kernel only),
+/// then evaluate every pair `(i, j)` — `i` from `rows`, `j` from `cols`,
+/// both global gene indices — with its nulls. With an explicit threshold
+/// a candidate at or below it is dropped at once: the final filter would
+/// drop it anyway.
+pub fn process_tile(
     tile: &Tile,
-    prepared: &[PreparedGene],
+    rows: GeneSpan<'_>,
+    cols: GeneSpan<'_>,
     perms: &PermutationSet,
     kernel: MiKernel,
     explicit_threshold: Option<f64>,
-    state: &mut ThreadState,
+    state: &mut TileState,
 ) {
-    let col_base = tile.col_start as usize;
-    let dense: Vec<Option<DenseWeights>> = match kernel {
-        MiKernel::VectorDense => (tile.col_start..tile.col_end)
-            .map(|j| Some(prepared[j as usize].to_dense()))
-            .collect(),
-        MiKernel::ScalarSparse => Vec::new(),
-    };
-
+    let dense = dense_columns(tile, cols, kernel);
     for (i, j) in tile.pairs() {
-        let y_dense = match kernel {
-            MiKernel::VectorDense => dense[j as usize - col_base].as_ref(),
-            MiKernel::ScalarSparse => None,
-        };
         let res = mi_with_nulls(
             kernel,
-            &prepared[i as usize],
-            &prepared[j as usize],
-            y_dense,
+            rows.gene(i),
+            cols.gene(j),
+            dense.get((j - tile.col_start) as usize),
             perms.as_vecs(),
             &mut state.scratch,
         );
         state.joints += 1 + res.null.len() as u64;
         state.pooled.extend(&res.null);
-        if res.exceed_count() == 0 {
-            let keep = match explicit_threshold {
-                Some(t) => res.observed > t,
-                None => true,
-            };
-            if keep {
-                state.candidates.push(Candidate {
-                    i,
-                    j,
-                    observed: res.observed,
-                });
-            }
+        if res.exceed_count() == 0 && explicit_threshold.is_none_or(|t| res.observed > t) {
+            state.candidates.push(Candidate {
+                i,
+                j,
+                observed: res.observed,
+            });
         }
     }
 }
@@ -424,26 +448,15 @@ fn process_tile_early_exit(
     perms: &PermutationSet,
     kernel: MiKernel,
     threshold: f64,
-    state: &mut ThreadState,
+    state: &mut TileState,
 ) {
-    let col_base = tile.col_start as usize;
-    let dense: Vec<Option<DenseWeights>> = match kernel {
-        MiKernel::VectorDense => (tile.col_start..tile.col_end)
-            .map(|j| Some(prepared[j as usize].to_dense()))
-            .collect(),
-        MiKernel::ScalarSparse => Vec::new(),
-    };
-
+    let dense = dense_columns(tile, GeneSpan::all(prepared), kernel);
     for (i, j) in tile.pairs() {
-        let y_dense = match kernel {
-            MiKernel::VectorDense => dense[j as usize - col_base].as_ref(),
-            MiKernel::ScalarSparse => None,
-        };
         let res = mi_with_nulls_early_exit(
             kernel,
             &prepared[i as usize],
             &prepared[j as usize],
-            y_dense,
+            dense.get((j - tile.col_start) as usize),
             perms.as_vecs(),
             threshold,
             &mut state.scratch,

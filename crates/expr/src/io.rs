@@ -4,7 +4,7 @@
 //! optional header line (`gene<TAB>sample names…`), then one line per gene
 //! (`name<TAB>v1<TAB>v2…`). `NA`, `NaN`, and empty fields denote missing
 //! values and are materialized as `f32::NAN` for the matrix's
-//! [`MissingPolicy`](crate::matrix::MissingPolicy) to resolve.
+//! [`MissingPolicy`] to resolve.
 //!
 //! The binary snapshot (`GNEX` format) exists because the headline-scale
 //! matrix (15,575 × 3,137 ≈ 49M floats) takes noticeable time to re-parse

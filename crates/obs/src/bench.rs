@@ -34,7 +34,8 @@
 use crate::ingest::{self, IngestError, LineResult, Raw};
 use gnet_bspline::BsplineBasis;
 use gnet_cluster::{
-    infer_network_distributed, infer_network_distributed_live, TelemetryPlane, TelemetrySpec,
+    infer_network_distributed, infer_network_distributed_with, DistributedOptions, TelemetryPlane,
+    TelemetrySpec,
 };
 use gnet_core::{apply_update, build_state, infer_network, UpdateMode};
 use gnet_mi::mutation::{KernelMutation, MutatedVectorKernel};
@@ -200,6 +201,14 @@ fn time_reps<F: FnMut()>(id: &str, reps: usize, mut body: F) -> BenchEntry {
     summarize(id, "us", values)
 }
 
+/// Whether `--inject-slowdown slowdown` adds work to a `kernel`
+/// benchmark: only the vector kernel's series are ever slowed, so every
+/// other series is a control the gate must leave alone.
+#[must_use]
+pub fn slowdown_injected(kernel: MiKernel, slowdown: f64) -> bool {
+    kernel == MiKernel::VectorDense && slowdown > 1.0
+}
+
 /// Pair evaluations per kernel-benchmark repetition.
 fn kernel_pairs(quick: bool) -> usize {
     if quick {
@@ -231,7 +240,7 @@ fn kernel_bench(id: &str, kernel: MiKernel, opts: &BenchOptions) -> BenchEntry {
     // Calibrate how many passes reproduce one pair before timing, so
     // `--inject-slowdown F` yields ≈F× wall time rather than a fixed
     // (and possibly negligible) increment.
-    let extra_passes = if kernel == MiKernel::VectorDense && opts.slowdown > 1.0 {
+    let extra_passes = if slowdown_injected(kernel, opts.slowdown) {
         let probe = 32.min(pairs);
         let mut sink = 0.0f64;
         let t = Instant::now();
@@ -285,12 +294,10 @@ fn kernel_bench(id: &str, kernel: MiKernel, opts: &BenchOptions) -> BenchEntry {
                 &mut scratch,
             );
             sink += r.observed;
-            if kernel == MiKernel::VectorDense {
-                for _ in 0..extra_passes {
-                    sink += mutated
-                        .mi_with_nulls(&prepared[i], &prepared[j], &dense[j], perms.as_vecs())
-                        .observed;
-                }
+            for _ in 0..extra_passes {
+                sink += mutated
+                    .mi_with_nulls(&prepared[i], &prepared[j], &dense[j], perms.as_vecs())
+                    .observed;
             }
         }
     });
@@ -376,16 +383,12 @@ fn telemetry_bench(opts: &BenchOptions) -> BenchEntry {
     time_reps("telemetry.overhead", opts.effective_reps(), || {
         let mut plane = TelemetryPlane::start(&spec, 2, pairs)
             .unwrap_or_else(|e| unreachable!("fileless, addressless plane starts: {e}"));
-        let r = infer_network_distributed_live(
-            &matrix,
-            &cfg,
-            2,
-            &gnet_fault::FaultInjector::none(),
-            &gnet_trace::Recorder::disabled(),
-            gnet_cluster::DEFAULT_PEER_TIMEOUT,
-            &plane,
-        )
-        .unwrap_or_else(|e| unreachable!("fault-free live ring completes: {e}"));
+        let options = DistributedOptions {
+            live: Some(&plane),
+            ..DistributedOptions::default()
+        };
+        let r = infer_network_distributed_with(&matrix, &cfg, 2, &options)
+            .unwrap_or_else(|e| unreachable!("fault-free live ring completes: {e}"));
         plane
             .finish()
             .unwrap_or_else(|e| unreachable!("fileless plane finish cannot fail: {e}"));
@@ -548,8 +551,8 @@ pub fn parse_suite(text: &str) -> Result<BenchSuite, IngestError> {
 }
 
 /// The gate: compare a candidate run against a baseline. Ids present in
-/// only one of the two are ignored (suites evolve); regressions are
-/// returned most-severe first.
+/// only one of the two are ignored (suites evolve; [`ungated`] names the
+/// candidate's); regressions are returned most-severe first.
 #[must_use]
 pub fn compare(baseline: &BenchSuite, candidate: &BenchSuite) -> Vec<Regression> {
     let mut regressions: Vec<Regression> = candidate
@@ -573,6 +576,19 @@ pub fn compare(baseline: &BenchSuite, candidate: &BenchSuite) -> Vec<Regression>
         .collect();
     regressions.sort_by(|a, b| b.ratio.total_cmp(&a.ratio));
     regressions
+}
+
+/// Candidate ids the baseline has no entry for, in run order: [`compare`]
+/// cannot gate them, so the caller must say so rather than pass them
+/// silently.
+#[must_use]
+pub fn ungated<'a>(baseline: &BenchSuite, candidate: &'a BenchSuite) -> Vec<&'a str> {
+    candidate
+        .entries
+        .iter()
+        .filter(|cand| baseline.entry(&cand.id).is_none())
+        .map(|cand| cand.id.as_str())
+        .collect()
 }
 
 /// The stale-baseline detector: entries whose candidate minimum undercuts
@@ -630,6 +646,27 @@ mod tests {
         // |5-3|,|1-3|,|3-3|,|9-3|,|2-3| = 2,2,0,6,1 → sorted 0,1,2,2,6 → 2
         assert!((e.mad_us - 2.0).abs() < 1e-12);
         assert_eq!(e.values_us, vec![5.0, 1.0, 3.0, 9.0, 2.0], "run order kept");
+    }
+
+    #[test]
+    fn ungated_names_the_ids_the_baseline_lacks() {
+        let base = suite(vec![
+            entry("kernel.scalar", 100.0, 1.0),
+            entry("retired", 5.0, 0.1),
+        ]);
+        let cand = suite(vec![
+            entry("telemetry.overhead", 40.0, 1.0),
+            entry("kernel.scalar", 100.0, 1.0),
+            entry("update.gene_append.pairs", 7.0, 0.0),
+        ]);
+        assert_eq!(
+            ungated(&base, &cand),
+            vec!["telemetry.overhead", "update.gene_append.pairs"]
+        );
+        assert!(ungated(&cand, &cand).is_empty());
+        // The gate itself still skips them.
+        let slow = suite(vec![entry("telemetry.overhead", 1e9, 0.0)]);
+        assert!(compare(&base, &slow).is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   `gnet-phi` calibrated kernel model.
 //! * [`chrome`] — Chrome trace-event JSON export (Perfetto-loadable).
 //! * [`flame`] — folded flamegraph-stack export.
-//! * [`bench`] — `gnet bench`: the seeded fixed-shape benchmark suite
+//! * [`bench`](mod@bench) — `gnet bench`: the seeded fixed-shape benchmark suite
 //!   and the MAD-based regression gate over `BENCH_7.json` artifacts.
 
 pub mod bench;

@@ -8,17 +8,14 @@
 //!   percent-of-modeled-peak column when a kernel model is supplied);
 //! * the Chrome export of the same model stays schema-valid.
 
-use gnet_cluster::infer_network_distributed_traced;
+use gnet_cluster::{infer_network_distributed_with, DistributedOptions};
 use gnet_core::InferenceConfig;
 use gnet_expr::synth::{coupled_pairs, Coupling};
-use gnet_fault::FaultInjector;
 use gnet_obs::ingest::parse_ndjson;
 use gnet_obs::model::{span_key, RunModel};
 use gnet_obs::report::{analyze, KernelModel};
-use gnet_trace::Recorder;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn traced_run(tag: u32) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gnet-obs-report-{}-{tag}", std::process::id()));
@@ -29,16 +26,12 @@ fn traced_run(tag: u32) -> PathBuf {
         mi_threshold: Some(0.1),
         ..InferenceConfig::default()
     };
-    infer_network_distributed_traced(
-        &matrix,
-        &config,
-        4,
-        &FaultInjector::none(),
-        &Recorder::disabled(),
-        Duration::from_secs(5),
-        &dir,
-    )
-    .expect("fault-free traced run succeeds");
+    let options = DistributedOptions {
+        trace_dir: Some(&dir),
+        ..DistributedOptions::default()
+    };
+    infer_network_distributed_with(&matrix, &config, 4, &options)
+        .expect("fault-free traced run succeeds");
     dir
 }
 

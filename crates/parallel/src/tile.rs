@@ -1,6 +1,7 @@
 //! Upper-triangular tile decomposition of the gene-pair space.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One rectangular tile of the pair space: gene rows `row_start..row_end`
 /// against gene columns `col_start..col_end`, restricted to pairs
@@ -59,6 +60,47 @@ impl Tile {
         })
     }
 
+    /// Cut the pairs of gene rows `rows` against gene columns `cols` into
+    /// `tile_size`-wide tiles, in row-major block order. Equal ranges
+    /// cover their strict upper triangle (diagonal tiles are triangles);
+    /// otherwise every row gene must precede every column gene and the
+    /// whole rectangle is covered. Tiles without pairs are left out.
+    ///
+    /// # Panics
+    /// Panics if `tile_size == 0`, or if the ranges neither coincide nor
+    /// are ordered rows-before-columns.
+    pub fn cover(rows: Range<u32>, cols: Range<u32>, tile_size: u32) -> Vec<Tile> {
+        assert!(tile_size >= 1, "tile size must be positive");
+        let triangle = rows == cols;
+        assert!(
+            triangle || rows.end <= cols.start,
+            "row genes must precede column genes"
+        );
+        let chunks = |r: &Range<u32>| -> Vec<(u32, u32)> {
+            r.clone()
+                .step_by(tile_size as usize)
+                .map(|s| (s, s.saturating_add(tile_size).min(r.end)))
+                .collect()
+        };
+        let (row_chunks, col_chunks) = (chunks(&rows), chunks(&cols));
+        let mut tiles = Vec::new();
+        for (br, &(row_start, row_end)) in row_chunks.iter().enumerate() {
+            let first_col = if triangle { br } else { 0 };
+            for &(col_start, col_end) in &col_chunks[first_col..] {
+                let tile = Tile {
+                    row_start,
+                    row_end,
+                    col_start,
+                    col_end,
+                };
+                if tile.pair_count() > 0 {
+                    tiles.push(tile);
+                }
+            }
+        }
+        tiles
+    }
+
     /// The distinct gene indices the tile touches: rows first, then any
     /// columns not already in the row range.
     pub fn gene_indices(&self) -> Vec<u32> {
@@ -90,25 +132,10 @@ impl TileSpace {
         assert!(tile_size >= 1, "tile size must be positive");
         let n = u32::try_from(genes).expect("gene count fits the u32 tile index space");
         let t = u32::try_from(tile_size).expect("tile size fits the u32 tile index space");
-        let blocks = n.div_ceil(t);
-        let mut tiles = Vec::with_capacity((blocks * (blocks + 1) / 2) as usize);
-        for br in 0..blocks {
-            for bc in br..blocks {
-                let tile = Tile {
-                    row_start: br * t,
-                    row_end: ((br + 1) * t).min(n),
-                    col_start: bc * t,
-                    col_end: ((bc + 1) * t).min(n),
-                };
-                if tile.pair_count() > 0 {
-                    tiles.push(tile);
-                }
-            }
-        }
         Self {
             genes: n,
             tile_size: t,
-            tiles,
+            tiles: Tile::cover(0..n, 0..n, t),
         }
     }
 
@@ -202,6 +229,36 @@ mod tests {
         assert_eq!(off.len(), 1);
         assert_eq!(off[0].pair_count(), 16);
         assert_eq!(off[0].genes_touched(), 8);
+    }
+
+    #[test]
+    fn cover_tiles_offset_triangles_and_rectangles() {
+        // An offset triangle is the plain tiling shifted by the offset.
+        let shifted: Vec<Tile> = TileSpace::new(11, 4)
+            .tiles()
+            .iter()
+            .map(|t| Tile {
+                row_start: t.row_start + 5,
+                row_end: t.row_end + 5,
+                col_start: t.col_start + 5,
+                col_end: t.col_end + 5,
+            })
+            .collect();
+        assert_eq!(Tile::cover(5..16, 5..16, 4), shifted);
+        // A rectangle covers every row × column pair once, row-major.
+        let tiles = Tile::cover(3..10, 12..17, 4);
+        let pairs: Vec<(u32, u32)> = tiles.iter().flat_map(Tile::pairs).collect();
+        let mut expect: Vec<(u32, u32)> = (3..10)
+            .flat_map(|i| (12..17).map(move |j| (i, j)))
+            .collect();
+        assert_eq!(pairs.len(), expect.len());
+        let mut sorted = pairs.clone();
+        sorted.sort_unstable();
+        expect.sort_unstable();
+        assert_eq!(sorted, expect);
+        assert_eq!(tiles.len(), 4);
+        assert!(tiles.iter().all(|t| !t.is_diagonal()));
+        assert!(Tile::cover(3..10, 12..12, 4).is_empty());
     }
 
     #[test]

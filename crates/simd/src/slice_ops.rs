@@ -12,7 +12,7 @@
 //!   the optimizer may or may not vectorize.
 //! * the undecorated public form — routes through the runtime
 //!   [dispatch table](crate::dispatch) to real AVX-512F or AVX2+FMA
-//!   intrinsics when the CPU has them ([`crate::x86`]), falling back to
+//!   intrinsics when the CPU has them (the `x86` module), falling back to
 //!   the emulated form otherwise. `GNET_SIMD_FORCE` or
 //!   [`crate::dispatch::force_backend`] override the choice.
 //!
